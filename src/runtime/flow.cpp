@@ -234,7 +234,9 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
         // they poll the job token so a deadline can unwind them.
         SynthesisOptions sopts;
         sopts.cover.cancel = &cancel;
-        sopts.cover.memo = logic_memo_.get();
+        // With no tier to keep entries in, the memo would only cost each
+        // function a fingerprint; the minimizer then skips it.
+        if (opts_.cache_capacity > 0 || disk_) sopts.cover.memo = logic_memo_.get();
         // Per-function fan-out nests inside the per-controller TaskGroup;
         // both groups only join their own subtasks, so the nesting cannot
         // deadlock or bill foreign work to this stage's deadline.

@@ -141,6 +141,8 @@ TEST(StageCache, CachedFlowProducesByteIdenticalNetlists) {
   FlowExecutor cold(nullptr, cold_opts);
   FlowPoint cold_point = cold.run(req);
   ASSERT_TRUE(cold_point.ok);
+  // With nowhere to keep a cover, the minimizer never consults the memo.
+  EXPECT_EQ(cold.logic_memo().stats().misses, 0u);
 
   FlowExecutor warm(nullptr);
   FlowPoint first = warm.run(req);
@@ -152,6 +154,7 @@ TEST(StageCache, CachedFlowProducesByteIdenticalNetlists) {
   EXPECT_EQ(netlists(cold_point), netlists(second));
   EXPECT_EQ(cold_point.channels, second.channels);
   EXPECT_EQ(cold_point.literals, second.literals);
+  EXPECT_GT(warm.logic_memo().stats().misses, 0u);
 }
 
 }  // namespace
