@@ -83,22 +83,26 @@ SlidingHistogram::Snapshot SlidingHistogram::snapshot() const {
     out.window_count += s.count;
     for (std::size_t i = 0; i < kBuckets; ++i) win[i] += s.buckets[i];
   }
-  auto quantile = [&](double q) -> std::uint64_t {
-    if (out.window_count == 0) return 0;
-    const auto rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(out.window_count)));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      seen += win[i];
-      if (seen >= rank && win[i] > 0)
-        return std::min(histogram_bucket_upper_micros(i), max_);
-    }
-    return max_;
-  };
-  out.window_p50_micros = quantile(0.50);
-  out.window_p95_micros = quantile(0.95);
-  out.window_p99_micros = quantile(0.99);
+  out.window_p50_micros = histogram_quantile_micros(win, out.window_count, max_, 0.50);
+  out.window_p95_micros = histogram_quantile_micros(win, out.window_count, max_, 0.95);
+  out.window_p99_micros = histogram_quantile_micros(win, out.window_count, max_, 0.99);
   return out;
+}
+
+std::uint64_t histogram_quantile_micros(
+    const std::uint64_t (&buckets)[SlidingHistogram::kBuckets],
+    std::uint64_t count, std::uint64_t max_micros, double q) {
+  if (count == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  const auto rank = std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count))), 1,
+      count);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < SlidingHistogram::kBuckets; ++i) {
+    seen += buckets[i];
+    if (seen >= rank) return std::min(histogram_bucket_upper_micros(i), max_micros);
+  }
+  return max_micros;
 }
 
 std::string Registry::series_key(const std::string& name,
@@ -113,44 +117,44 @@ std::string Registry::series_key(const std::string& name,
   return key;
 }
 
-Counter& Registry::counter(const std::string& name, const Labels& labels,
-                           const std::string& help) {
-  std::lock_guard<std::mutex> lk(mu_);
+template <class T>
+T& Registry::find_or_create_locked(
+    std::map<std::string, std::unique_ptr<T>>& family, const std::string& name,
+    const Labels& labels, const std::string& help) {
   const std::string key = series_key(name, labels);
-  auto it = counters_.find(key);
-  if (it == counters_.end()) {
-    it = counters_.emplace(key, std::make_unique<Counter>()).first;
+  auto it = family.find(key);
+  if (it == family.end()) {
+    it = family.emplace(key, std::make_unique<T>()).first;
     series_[key] = Series{name, labels};
     if (!help.empty()) help_.emplace(name, help);
   }
   return *it->second;
 }
 
+Counter& Registry::counter(const std::string& name, const Labels& labels,
+                           const std::string& help) {
+  std::lock_guard<std::mutex> lk(mu_);
+  return find_or_create_locked(counters_, name, labels, help);
+}
+
 Gauge& Registry::gauge(const std::string& name, const Labels& labels,
                        const std::string& help) {
   std::lock_guard<std::mutex> lk(mu_);
-  const std::string key = series_key(name, labels);
-  auto it = gauges_.find(key);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(key, std::make_unique<Gauge>()).first;
-    series_[key] = Series{name, labels};
-    if (!help.empty()) help_.emplace(name, help);
-  }
-  return *it->second;
+  return find_or_create_locked(gauges_, name, labels, help);
 }
 
 SlidingHistogram& Registry::histogram(const std::string& name,
                                       const Labels& labels,
                                       const std::string& help) {
   std::lock_guard<std::mutex> lk(mu_);
-  const std::string key = series_key(name, labels);
-  auto it = histograms_.find(key);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(key, std::make_unique<SlidingHistogram>()).first;
-    series_[key] = Series{name, labels};
-    if (!help.empty()) help_.emplace(name, help);
-  }
-  return *it->second;
+  return find_or_create_locked(histograms_, name, labels, help);
+}
+
+void Registry::update_gauges(
+    const std::vector<std::pair<std::string, std::int64_t>>& values) {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& [name, v] : values)
+    find_or_create_locked(gauges_, name, {}, "").set(v);
 }
 
 Registry::Snapshot Registry::snapshot() const {
@@ -234,6 +238,10 @@ void Registry::write_json(JsonWriter& w) const {
     w.kv("count", h.hist.count);
     w.kv("sum_us", h.hist.sum_micros);
     w.kv("max_us", h.hist.max_micros);
+    for (const auto& [key, q] : {std::pair{"p50_us", 0.50}, std::pair{"p90_us", 0.90},
+                                 std::pair{"p99_us", 0.99}})
+      w.kv(key, histogram_quantile_micros(h.hist.buckets, h.hist.count,
+                                          h.hist.max_micros, q));
     w.kv("window_count", h.hist.window_count);
     w.kv("window_p50_us", h.hist.window_p50_micros);
     w.kv("window_p95_us", h.hist.window_p95_micros);

@@ -1,23 +1,22 @@
 #pragma once
-// Serving-side metrics registry.
+// The metrics registry: one for the flow executor and one for the daemon.
 //
-// The runtime already has MetricsRegistry (runtime/metrics.hpp) for batch
-// runs: unlabeled names, lifetime-cumulative histograms, one JSON dump at
-// exit.  A long-lived daemon needs two things that registry deliberately
-// does not have:
+// Both own an obs::Registry.  The executor's metrics are the unlabeled
+// case (flow.* counters, stage.* histograms, pool/cache/disk gauges),
+// reported once per batch by `adc_dse --json` and the serve `stats` op.
+// The daemon's are labeled families — "queue wait" is one family with a
+// series per priority class, so a Prometheus scraper can aggregate and a
+// dashboard can facet — served by the `metrics` op and `/metrics`.  The
+// two instances stay separate so the executor's families never reach the
+// daemon's `/metrics` catalogue.
 //
-//   * labels — "queue wait" is one *family* with one time series per
-//     priority class, not three unrelated names, so a Prometheus scraper
-//     can aggregate and a dashboard can facet;
-//   * windowed quantiles — "p95 over the last minute", not "p95 since
-//     the process started three weeks ago".
-//
-// obs::Registry provides both.  Counters and gauges are single atomics
-// (lock-free after the first lookup); SlidingHistogram keeps the
-// *lifetime* cumulative buckets Prometheus needs (monotone `_bucket`
-// series) plus a small ring of time slices for live windowed p50/p95/p99.
-// `snapshot()` copies everything under one mutex, so a scrape never sees
-// torn totals — the same guarantee the `stats` op gets from satellite 1.
+// Counters and gauges are single atomics (lock-free after the first
+// lookup).  SlidingHistogram keeps the *lifetime* cumulative buckets
+// Prometheus needs (monotone `_bucket` series) plus a small ring of time
+// slices for live windowed p50/p95/p99; both quantile kinds go through
+// histogram_quantile_micros.  `snapshot()` copies everything under one
+// mutex, so a scrape never sees torn totals, and `update_gauges()` commits
+// a gauge batch under that same mutex.
 //
 // Instruments are never unregistered; returned references live as long as
 // the registry, so hot paths capture them once and increment forever.
@@ -117,6 +116,14 @@ class SlidingHistogram {
 std::size_t histogram_bucket_index(std::uint64_t micros);
 std::uint64_t histogram_bucket_upper_micros(std::size_t index);
 
+// The q-quantile of `count` samples spread over power-of-two buckets, by
+// nearest rank: the upper bound of the bucket holding the ceil(q*count)-th
+// smallest sample, capped at the recorded maximum.  q is clamped to [0,1];
+// no samples gives 0.
+std::uint64_t histogram_quantile_micros(
+    const std::uint64_t (&buckets)[SlidingHistogram::kBuckets],
+    std::uint64_t count, std::uint64_t max_micros, double q);
+
 class Registry {
  public:
   // Instrument lookup-or-create.  `help` is kept from the *first*
@@ -151,8 +158,18 @@ class Registry {
   // One mutex, one instant: no torn cross-metric invariants.
   Snapshot snapshot() const;
 
-  // {"counters": [...], "gauges": [...], "histograms": [...]} — the
-  // `metrics` protocol op's payload.
+  // Sets a batch of unlabeled gauges under the snapshot mutex, so a reader
+  // sees either all of the batch or none of it.  Separate Gauge::set()
+  // calls give no such guarantee: the serve `stats` op could otherwise
+  // see disk.hits from one sample next to disk.misses from the previous.
+  void update_gauges(
+      const std::vector<std::pair<std::string, std::int64_t>>& values);
+
+  // {"counters": [...], "gauges": [...], "histograms": [...]}: each
+  // series an object with its name (and labels), histograms with lifetime
+  // count/sum_us/max_us/p50_us/p90_us/p99_us and the window_* fields.
+  // The `metrics` protocol op's `obs` payload, the `stats` op's and
+  // `adc_dse --json`'s `metrics` section.
   void write_json(JsonWriter& w) const;
 
   // Every distinct family name currently registered (the catalogue the
@@ -161,6 +178,10 @@ class Registry {
 
  private:
   static std::string series_key(const std::string& name, const Labels& labels);
+  template <class T>
+  T& find_or_create_locked(std::map<std::string, std::unique_ptr<T>>& family,
+                           const std::string& name, const Labels& labels,
+                           const std::string& help);
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "report/json.hpp"
+#include "trace/tracer.hpp"
 
 namespace adc {
 namespace obs {
@@ -142,11 +143,17 @@ void JobTrace::write_chrome_trace(JsonWriter& w, std::uint64_t pid) const {
 TraceSpan::TraceSpan(const TraceContext& ctx, std::string name,
                      std::string category)
     : ctx_(ctx) {
-  if (ctx_.active()) id_ = ctx_.trace()->begin(name, category, ctx_.parent());
+  if (ctx_.trace()) id_ = ctx_.trace()->begin(name, category, ctx_.parent());
+  if (ctx_.tracer()) {
+    ctx_.tracer()->begin(name, category);
+    name_ = std::move(name);
+    category_ = std::move(category);
+  }
 }
 
 TraceSpan::~TraceSpan() {
-  if (ctx_.active() && id_ != 0) ctx_.trace()->end(id_, std::move(end_args_));
+  if (ctx_.tracer()) ctx_.tracer()->end(name_, category_, end_args_);
+  if (ctx_.trace() && id_ != 0) ctx_.trace()->end(id_, std::move(end_args_));
 }
 
 void TraceSpan::arg(std::string key, std::string value) {

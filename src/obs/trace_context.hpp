@@ -1,27 +1,30 @@
 #pragma once
-// Request-scoped trace propagation for the serving layer.
+// Span tracing for the flow: one span type, two sinks.
 //
-// The global trace::Tracer (trace/tracer.hpp) answers "what did this
-// *process* do" — per-thread tracks, every job of every client
-// interleaved.  A daemon serving concurrent clients also needs the
-// inverse view: "what happened to *this request*", as one connected span
-// tree, regardless of which threads the stages landed on.
+// The process trace (Tracer, trace/tracer.hpp) answers "what did
+// this *process* do": per-thread tracks, every job of every client
+// interleaved, written by --trace-out.  A daemon serving concurrent
+// clients also needs the inverse view: "what happened to *this request*",
+// as one connected span tree, regardless of which threads the stages
+// landed on.
 //
 // A JobTrace is that tree.  The server allocates one per submitted job
 // (trace id minted at accept), opens a root span covering the job's
-// whole lifetime and a queue-wait child; the TraceContext — a
-// {JobTrace, parent-span-id} pair — rides the FlowRequest into the
-// executor, where every stage (frontend, each gt step, per-controller
-// synthesis, sim, disk replay) opens a child span under its parent.
-// Span ids are explicit, so the tree survives the work-stealing pool:
-// a controller subtask executing on another thread still parents
-// correctly under its stage.
+// whole lifetime and a queue-wait child; the TraceContext — which
+// JobTrace, which parent span, which process Tracer — rides the
+// FlowRequest into the executor, where every stage (frontend, each gt
+// step, per-controller synthesis, per-function logic, sim, disk probe and
+// replay) opens a TraceSpan.  The span lands in both sinks: B/E events on
+// the current thread's track of the Tracer, and a child of its parent in
+// the JobTrace.  Span ids are explicit, so the tree survives the
+// work-stealing pool: a controller subtask executing on another thread
+// still parents correctly under its stage.
 //
-// Export is Chrome trace_event JSON with complete ("X") events — one
-// self-contained, Perfetto-loadable document per job, fetched from a
+// JobTrace export is Chrome trace_event JSON with complete ("X") events —
+// one self-contained, Perfetto-loadable document per job, fetched from a
 // live daemon via the `trace` protocol op (adc_submit --trace-out).
 // Everything is inert when the TraceContext is empty: a TraceSpan on a
-// context without a JobTrace compiles to two null checks.
+// context with neither sink compiles to a few null checks.
 
 #include <chrono>
 #include <cstdint>
@@ -35,6 +38,7 @@
 namespace adc {
 
 class JsonWriter;
+class Tracer;
 
 namespace obs {
 
@@ -93,28 +97,35 @@ class JobTrace {
   std::vector<std::pair<std::thread::id, std::uint32_t>> threads_;
 };
 
-// The propagation handle: which trace, and which span new children hang
-// under.  Copyable, cheap, and inert when default-constructed — the
-// no-daemon CLIs run with an empty context and pay two pointer tests.
+// The propagation handle: which trace, which span new children hang
+// under, and which process tracer also records them.  Copyable, cheap,
+// and inert when default-constructed — the untraced CLIs run with an
+// empty context and pay a few pointer tests.
 class TraceContext {
  public:
   TraceContext() = default;
-  TraceContext(std::shared_ptr<JobTrace> trace, std::uint64_t parent)
-      : trace_(std::move(trace)), parent_(parent) {}
+  TraceContext(std::shared_ptr<JobTrace> trace, std::uint64_t parent,
+               Tracer* tracer = nullptr)
+      : trace_(std::move(trace)), parent_(parent), tracer_(tracer) {}
+  // Process trace only (the CLIs' analysis.* spans).
+  explicit TraceContext(Tracer* tracer) : tracer_(tracer) {}
 
-  bool active() const { return trace_ != nullptr; }
+  bool active() const { return trace_ != nullptr || tracer_ != nullptr; }
   JobTrace* trace() const { return trace_.get(); }
   const std::shared_ptr<JobTrace>& trace_ptr() const { return trace_; }
   std::uint64_t parent() const { return parent_; }
+  Tracer* tracer() const { return tracer_; }
 
  private:
   std::shared_ptr<JobTrace> trace_;
   std::uint64_t parent_ = 0;
+  Tracer* tracer_ = nullptr;
 };
 
-// RAII span on a TraceContext; mirrors trace/tracer.hpp's ScopedSpan
-// (args land on the close) but with explicit parentage instead of
-// thread-track nesting.
+// RAII span on a TraceContext: begins in every attached sink at
+// construction, ends at destruction.  `arg` attaches key=value pairs that
+// land on the close (so results computed during the span — cache
+// disposition, counts — are visible in both traces).
 class TraceSpan {
  public:
   TraceSpan() = default;  // inert
@@ -127,7 +138,9 @@ class TraceSpan {
   bool active() const { return ctx_.active(); }
   std::uint64_t id() const { return id_; }
   // Context for children of *this* span — what gets passed downstream.
-  TraceContext context() const { return TraceContext(ctx_.trace_ptr(), id_); }
+  TraceContext context() const {
+    return TraceContext(ctx_.trace_ptr(), id_, ctx_.tracer());
+  }
 
   void arg(std::string key, std::string value);
   void arg(std::string key, const char* value) {
@@ -143,6 +156,8 @@ class TraceSpan {
  private:
   TraceContext ctx_;
   std::uint64_t id_ = 0;
+  std::string name_;      // kept for the Tracer's end event
+  std::string category_;
   std::vector<std::pair<std::string, std::string>> end_args_;
 };
 

@@ -1,5 +1,8 @@
 #include "runtime/flow.hpp"
 
+#include <chrono>
+#include <ctime>
+#include <exception>
 #include <stdexcept>
 
 #include "extract/extract.hpp"
@@ -54,6 +57,79 @@ bool disk_eligible(const FlowRequest& req) {
          !req.sim.event_log;
 }
 
+const char* cache_arg(bool computed) { return computed ? "miss" : "hit"; }
+
+// Current thread's consumed CPU time in microseconds
+// (CLOCK_THREAD_CPUTIME_ID on POSIX; a process-wide std::clock fallback
+// elsewhere).  Monotonic per thread — subtract two samples for a span.
+std::uint64_t thread_cpu_micros() {
+#if defined(CLOCK_THREAD_CPUTIME_ID)
+  timespec ts{};
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0)
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000u +
+           static_cast<std::uint64_t>(ts.tv_nsec) / 1000u;
+#endif
+  return static_cast<std::uint64_t>(
+      static_cast<double>(std::clock()) * 1e6 / CLOCKS_PER_SEC);
+}
+
+// One stage of one run, fed to every sink from one place: a span in the
+// process trace and in the per-job tree (one obs::TraceSpan), the stage's
+// wall-time histogram, and, when `rows` is given, the point's timings row.
+// CPU time is the executing thread's, so cached stages show near-zero CPU
+// while the wall time still captures lock waits.
+class StageScope {
+ public:
+  StageScope(const obs::TraceContext& ctx, std::string name, const char* category,
+             obs::SlidingHistogram& hist, std::vector<StageTiming>* rows = nullptr)
+      : span_(ctx, name, category),
+        hist_(hist),
+        rows_(rows),
+        start_(std::chrono::steady_clock::now()),
+        cpu_start_(thread_cpu_micros()) {
+    row_.stage = std::move(name);
+  }
+  // A stage unwinding on an exception still counts in the histogram, but
+  // leaves no timings row: the point reports only the stages it finished.
+  ~StageScope() {
+    if (!closed_) stop(std::uncaught_exceptions() == exceptions_);
+  }
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+  obs::TraceSpan& span() { return span_; }
+  void set_cached(bool cached) { row_.cached = cached; }
+
+  // Stops the clocks now and records the stage; the span stays open until
+  // the scope ends.
+  const StageTiming& close() {
+    if (!closed_) stop(true);
+    return row_;
+  }
+
+ private:
+  void stop(bool append_row) {
+    closed_ = true;
+    const std::uint64_t cpu = thread_cpu_micros();
+    row_.cpu_micros = cpu > cpu_start_ ? cpu - cpu_start_ : 0;
+    row_.micros = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
+    hist_.record_micros(row_.micros);
+    if (rows_ && append_row) rows_->push_back(row_);
+  }
+
+  obs::TraceSpan span_;
+  obs::SlidingHistogram& hist_;
+  std::vector<StageTiming>* rows_;
+  std::chrono::steady_clock::time_point start_;
+  std::uint64_t cpu_start_;
+  int exceptions_ = std::uncaught_exceptions();
+  StageTiming row_;
+  bool closed_ = false;
+};
+
 }  // namespace
 
 const char* to_string(FlowStatus s) {
@@ -83,7 +159,15 @@ struct FlowExecutor::GlobalSnapshot {
 FlowExecutor::FlowExecutor(ThreadPool* pool) : FlowExecutor(pool, Options{}) {}
 
 FlowExecutor::FlowExecutor(ThreadPool* pool, Options opts)
-    : pool_(pool), opts_(opts), cache_(opts.cache_capacity) {
+    : pool_(pool),
+      opts_(opts),
+      cache_(opts.cache_capacity),
+      stage_frontend_(metrics_.histogram("stage.frontend")),
+      stage_global_(metrics_.histogram("stage.global")),
+      stage_controllers_(metrics_.histogram("stage.controllers")),
+      stage_sim_(metrics_.histogram("stage.sim")),
+      stage_disk_(metrics_.histogram("stage.disk")),
+      flow_total_(metrics_.histogram("flow.total")) {
   if (!opts_.disk_cache_dir.empty())
     disk_ = std::make_unique<DiskCache>(opts_.disk_cache_dir,
                                         opts_.disk_cache_bytes);
@@ -103,23 +187,16 @@ std::shared_ptr<const Cdfg> FlowExecutor::frontend_stage(const FlowRequest& req,
   fb.add("frontend").add(req.benchmark).add(req.source);
   key = fb.digest();
   bool computed = false;
-  std::uint64_t us = 0, cpu = 0;
-  std::shared_ptr<const Cdfg> parsed;
-  {
-    ScopedSpan span(opts_.tracer, "frontend");
-    obs::TraceSpan ospan(otrace, "frontend");
-    StageTimer t(&metrics_.histogram("stage.frontend"), &us, &cpu);
-    parsed = cache_.get_or_compute<Cdfg>(key, [&]() -> Cdfg {
-      computed = true;
-      if (!req.source.empty()) return parse_program(req.source);
-      if (req.make) return req.make();
-      throw std::invalid_argument("flow: request '" + req.benchmark +
-                                  "' has neither source text nor a graph factory");
-    });
-    span.arg("cache", computed ? "miss" : "hit");
-    ospan.arg("cache", computed ? "miss" : "hit");
-  }
-  p.timings.push_back({"frontend", us, cpu, !computed});
+  StageScope stage(otrace, "frontend", "stage", stage_frontend_, &p.timings);
+  auto parsed = cache_.get_or_compute<Cdfg>(key, [&]() -> Cdfg {
+    computed = true;
+    if (!req.source.empty()) return parse_program(req.source);
+    if (req.make) return req.make();
+    throw std::invalid_argument("flow: request '" + req.benchmark +
+                                "' has neither source text nor a graph factory");
+  });
+  stage.span().arg("cache", cache_arg(computed));
+  stage.set_cached(!computed);
   return parsed;
 }
 
@@ -128,60 +205,52 @@ std::shared_ptr<const FlowExecutor::GlobalSnapshot> FlowExecutor::global_stage(
     std::shared_ptr<const Cdfg> parsed, Fingerprint key, FlowPoint& p,
     const obs::TraceContext& otrace) {
   Fingerprint delays_fp = fingerprint_delays(req.delays);
-  std::uint64_t us = 0, cpu = 0;
   std::size_t steps_run = 0, steps_total = 0;
   std::shared_ptr<const GlobalSnapshot> snap;
-  {
-    ScopedSpan gspan(opts_.tracer, "global");
-    obs::TraceSpan ogspan(otrace, "global");
-    const obs::TraceContext octx = ogspan.context();
-    StageTimer t(&metrics_.histogram("stage.global"), &us, &cpu);
-    for (std::size_t i = 0; i < script.step_count(); ++i) {
-      std::string step = script.step_string(i);
-      if (is_lt_step(step)) continue;  // no global action; keyed downstream
-      ++steps_total;
-      FingerprintBuilder fb;
-      fb.add(key).add(step).add(delays_fp);
-      key = fb.digest();
-      auto prev = snap;  // null for the first step
-      ScopedSpan span(opts_.tracer, step);
-      obs::TraceSpan ospan(octx, step, "gt");
-      bool step_computed = false;
-      snap = cache_.get_or_compute<GlobalSnapshot>(key, [&]() -> GlobalSnapshot {
-        ++steps_run;
-        step_computed = true;
-        GlobalSnapshot next;
-        if (prev) {
-          next = *prev;  // clone: stage results are immutable
-        } else {
-          next.g = *parsed;
-        }
-        if (step.rfind("gt5", 0) == 0) {
-          // gt5 re-derives its plan; anchor the channel ledger here.
-          next.channels_merged_discarded = 0;
-          for (const auto& st : next.res.stages)
-            next.channels_merged_discarded += st.channels_merged;
-          next.channels_unoptimized =
-              ChannelPlan::derive(next.g).count_controller_channels();
-        }
-        next.have_plan =
-            script.run_step(next.g, i, req.delays, next.res) || next.have_plan;
-        return next;
-      });
-      span.arg("cache", step_computed ? "miss" : "hit");
-      ospan.arg("cache", step_computed ? "miss" : "hit");
-    }
-    if (!snap) {  // empty / lt-only script: the parsed graph is the result
-      GlobalSnapshot base;
-      base.g = *parsed;
-      snap = std::make_shared<const GlobalSnapshot>(std::move(base));
-    }
-    gspan.arg("cache", steps_run == 0 ? "hit" : "miss");
-    ogspan.arg("cache", steps_run == 0 ? "hit" : "miss");
+  StageScope stage(otrace, "global", "stage", stage_global_, &p.timings);
+  const obs::TraceContext octx = stage.span().context();
+  for (std::size_t i = 0; i < script.step_count(); ++i) {
+    std::string step = script.step_string(i);
+    if (is_lt_step(step)) continue;  // no global action; keyed downstream
+    ++steps_total;
+    FingerprintBuilder fb;
+    fb.add(key).add(step).add(delays_fp);
+    key = fb.digest();
+    auto prev = snap;  // null for the first step
+    obs::TraceSpan span(octx, step, "gt");
+    bool step_computed = false;
+    snap = cache_.get_or_compute<GlobalSnapshot>(key, [&]() -> GlobalSnapshot {
+      ++steps_run;
+      step_computed = true;
+      GlobalSnapshot next;
+      if (prev) {
+        next = *prev;  // clone: stage results are immutable
+      } else {
+        next.g = *parsed;
+      }
+      if (step.rfind("gt5", 0) == 0) {
+        // gt5 re-derives its plan; anchor the channel ledger here.
+        next.channels_merged_discarded = 0;
+        for (const auto& st : next.res.stages)
+          next.channels_merged_discarded += st.channels_merged;
+        next.channels_unoptimized =
+            ChannelPlan::derive(next.g).count_controller_channels();
+      }
+      next.have_plan =
+          script.run_step(next.g, i, req.delays, next.res) || next.have_plan;
+      return next;
+    });
+    span.arg("cache", cache_arg(step_computed));
   }
+  if (!snap) {  // empty / lt-only script: the parsed graph is the result
+    GlobalSnapshot base;
+    base.g = *parsed;
+    snap = std::make_shared<const GlobalSnapshot>(std::move(base));
+  }
+  stage.span().arg("cache", cache_arg(steps_run > 0));
+  stage.set_cached(steps_total > 0 && steps_run == 0);
   metrics_.counter("flow.gt_steps").add(steps_total);
   metrics_.counter("flow.gt_steps_cached").add(steps_total - steps_run);
-  p.timings.push_back({"global", us, cpu, steps_total > 0 && steps_run == 0});
   return snap;
 }
 
@@ -193,93 +262,83 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
   fb.add(key).add("extract+lt").add(script.to_string());
   Fingerprint ckey = fb.digest();
   bool computed = false;
-  std::uint64_t us = 0, cpu = 0;
-  std::shared_ptr<const ControllerSet> set;
-  {
-    ScopedSpan span(opts_.tracer, "controllers");
-    obs::TraceSpan ocspan(otrace, "controllers");
-    const obs::TraceContext octx = ocspan.context();
-    StageTimer t(&metrics_.histogram("stage.controllers"), &us, &cpu);
-    set = cache_.get_or_compute<ControllerSet>(ckey, [&]() -> ControllerSet {
-      computed = true;
-      ControllerSet out;
-      out.plan = snap->have_plan ? snap->res.plan : ChannelPlan::derive(snap->g);
-      auto extracted = extract_controllers(snap->g, out.plan);
-      out.instances.resize(extracted.size());
-      out.controllers.resize(extracted.size());
-      out.local_results.resize(extracted.size());
-      auto synthesize_one = [&](std::size_t i) {
-        cancel.throw_if_cancelled();
-        ExtractedController c = std::move(extracted[i]);
-        ScopedSpan cspan(opts_.tracer, "controller:" + c.machine.name(),
-                         "controller");
-        // Subtasks may land on any pool thread; the explicit parent keeps
-        // them under this stage in the per-job tree regardless.
-        obs::TraceSpan ocspan2(octx, "controller:" + c.machine.name(),
-                               "controller");
-        ControllerInstance inst;
-        ControllerMetrics m;
-        m.name = c.machine.name();
-        m.states_extracted = c.machine.state_count();
-        m.transitions_extracted = c.machine.transition_count();
-        TransformResult local;
-        if (script.has_local_step()) {
-          LocalTransformResult lt = run_local_transforms(c, script.local_options());
-          inst.shared_signals = std::move(lt.shared_signals);
-          local = std::move(lt.stats);
-        }
-        m.states = c.machine.state_count();
-        m.transitions = c.machine.transition_count();
-        // The covering loops are the long-running part of this stage;
-        // they poll the job token so a deadline can unwind them.
-        SynthesisOptions sopts;
-        sopts.cover.cancel = &cancel;
-        // With no tier to keep entries in, the memo would only cost each
-        // function a fingerprint; the minimizer then skips it.
-        if (opts_.cache_capacity > 0 || disk_) sopts.cover.memo = logic_memo_.get();
-        // Per-function fan-out nests inside the per-controller TaskGroup;
-        // both groups only join their own subtasks, so the nesting cannot
-        // deadlock or bill foreign work to this stage's deadline.
-        if (opts_.fan_out_controllers) sopts.pool = pool_;
-        sopts.trace = ocspan2.context();
-        auto logic = synthesize_logic(c, sopts);
-        m.products = logic.product_count(true);
-        m.literals = logic.literal_count(true);
-        m.state_bits = logic.encoding.bits;
-        for (const auto& f : logic.functions)
-          if (!f.is_state_bit) ++m.outputs;
-        m.feasible = logic.feasible();
-        ADC_LOG_DEBUG("flow", "controller synthesized",
-                      {{"name", m.name},
-                       {"states", m.states},
-                       {"transitions", m.transitions},
-                       {"literals", m.literals}});
-        inst.controller = std::move(c);
-        out.instances[i] = std::move(inst);
-        out.controllers[i] = std::move(m);
-        out.local_results[i] = std::move(local);
-      };
-      if (pool_ && opts_.fan_out_controllers && extracted.size() > 1) {
-        // Scoped join: TaskGroup::wait() runs only this point's subtasks
-        // on this thread (idle workers still steal them).  A helping
-        // ThreadPool::wait() here would execute *other queued points*
-        // nested inside this stage, billing their wall time to it — and
-        // tripping this point's stage deadline on their behalf.  It also
-        // drains every subtask before rethrowing, so the by-reference
-        // captures above never outlive their scope.
-        TaskGroup group(*pool_);
-        for (std::size_t i = 0; i < extracted.size(); ++i)
-          group.submit([&, i] { synthesize_one(i); });
-        group.wait();
-      } else {
-        for (std::size_t i = 0; i < extracted.size(); ++i) synthesize_one(i);
+  StageScope stage(otrace, "controllers", "stage", stage_controllers_, &p.timings);
+  const obs::TraceContext octx = stage.span().context();
+  auto set = cache_.get_or_compute<ControllerSet>(ckey, [&]() -> ControllerSet {
+    computed = true;
+    ControllerSet out;
+    out.plan = snap->have_plan ? snap->res.plan : ChannelPlan::derive(snap->g);
+    auto extracted = extract_controllers(snap->g, out.plan);
+    out.instances.resize(extracted.size());
+    out.controllers.resize(extracted.size());
+    out.local_results.resize(extracted.size());
+    auto synthesize_one = [&](std::size_t i) {
+      cancel.throw_if_cancelled();
+      ExtractedController c = std::move(extracted[i]);
+      // Subtasks may land on any pool thread; the explicit parent keeps
+      // them under this stage in the per-job tree regardless.
+      obs::TraceSpan cspan(octx, "controller:" + c.machine.name(), "controller");
+      ControllerInstance inst;
+      ControllerMetrics m;
+      m.name = c.machine.name();
+      m.states_extracted = c.machine.state_count();
+      m.transitions_extracted = c.machine.transition_count();
+      TransformResult local;
+      if (script.has_local_step()) {
+        LocalTransformResult lt = run_local_transforms(c, script.local_options());
+        inst.shared_signals = std::move(lt.shared_signals);
+        local = std::move(lt.stats);
       }
-      return out;
-    });
-    span.arg("cache", computed ? "miss" : "hit");
-    ocspan.arg("cache", computed ? "miss" : "hit");
-  }
-  p.timings.push_back({"controllers", us, cpu, !computed});
+      m.states = c.machine.state_count();
+      m.transitions = c.machine.transition_count();
+      // The covering loops are the long-running part of this stage;
+      // they poll the job token so a deadline can unwind them.
+      SynthesisOptions sopts;
+      sopts.cover.cancel = &cancel;
+      // With no tier to keep entries in, the memo would only cost each
+      // function a fingerprint; the minimizer then skips it.
+      if (opts_.cache_capacity > 0 || disk_) sopts.cover.memo = logic_memo_.get();
+      // Per-function fan-out nests inside the per-controller TaskGroup;
+      // both groups only join their own subtasks, so the nesting cannot
+      // deadlock or bill foreign work to this stage's deadline.
+      if (opts_.fan_out_controllers) sopts.pool = pool_;
+      sopts.trace = cspan.context();
+      auto logic = synthesize_logic(c, sopts);
+      m.products = logic.product_count(true);
+      m.literals = logic.literal_count(true);
+      m.state_bits = logic.encoding.bits;
+      for (const auto& f : logic.functions)
+        if (!f.is_state_bit) ++m.outputs;
+      m.feasible = logic.feasible();
+      ADC_LOG_DEBUG("flow", "controller synthesized",
+                    {{"name", m.name},
+                     {"states", m.states},
+                     {"transitions", m.transitions},
+                     {"literals", m.literals}});
+      inst.controller = std::move(c);
+      out.instances[i] = std::move(inst);
+      out.controllers[i] = std::move(m);
+      out.local_results[i] = std::move(local);
+    };
+    if (pool_ && opts_.fan_out_controllers && extracted.size() > 1) {
+      // Scoped join: TaskGroup::wait() runs only this point's subtasks
+      // on this thread (idle workers still steal them).  A helping
+      // ThreadPool::wait() here would execute *other queued points*
+      // nested inside this stage, billing their wall time to it — and
+      // tripping this point's stage deadline on their behalf.  It also
+      // drains every subtask before rethrowing, so the by-reference
+      // captures above never outlive their scope.
+      TaskGroup group(*pool_);
+      for (std::size_t i = 0; i < extracted.size(); ++i)
+        group.submit([&, i] { synthesize_one(i); });
+      group.wait();
+    } else {
+      for (std::size_t i = 0; i < extracted.size(); ++i) synthesize_one(i);
+    }
+    return out;
+  });
+  stage.span().arg("cache", cache_arg(computed));
+  stage.set_cached(!computed);
   return set;
 }
 
@@ -376,12 +435,13 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
   p.benchmark = req.benchmark;
   p.script = req.script;  // replaced by the normalized form once parsed
   metrics_.counter("flow.runs").add();
-  StageTimer total(&metrics_.histogram("flow.total"), &p.total_micros);
-  ScopedSpan span(opts_.tracer, "flow.run", "flow",
-                  {{"benchmark", req.benchmark}, {"script", req.script}});
-  obs::TraceSpan ospan(req.trace, "flow.run", "flow");
-  ospan.arg("benchmark", req.benchmark);
-  const obs::TraceContext octx = ospan.context();
+  StageScope total(obs::TraceContext(req.trace.trace_ptr(), req.trace.parent(),
+                                     opts_.tracer),
+                   "flow.run", "flow", flow_total_);
+  obs::TraceSpan& span = total.span();
+  span.arg("benchmark", req.benchmark);
+  span.arg("script", req.script);
+  const obs::TraceContext octx = span.context();
   ADC_LOG_INFO("flow", "run start",
                {{"benchmark", req.benchmark}, {"script", req.script}});
 
@@ -412,26 +472,25 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
     disk_ok = disk_ && disk_->enabled() && disk_eligible(req);
     if (disk_ok) {
       point_key = fingerprint_point(req, p.script);
-      std::uint64_t us = 0, cpu = 0;
       std::optional<std::string> hit;
+      StageTiming probe;
       {
-        obs::TraceSpan odspan(octx, "disk.probe", "disk");
-        StageTimer t(&metrics_.histogram("stage.disk"), &us, &cpu);
+        StageScope stage(octx, "disk.probe", "disk", stage_disk_);
         hit = disk_->get(point_key.hex());
-        odspan.arg("hit", hit.has_value());
+        stage.span().arg("hit", hit.has_value());
+        probe = stage.close();
       }
       if (hit) {
         try {
-          obs::TraceSpan orspan(octx, "disk.replay", "disk");
+          obs::TraceSpan replay(octx, "disk.replay", "disk");
           FlowPoint warm = parse_flow_point(*hit);
           if (warm.benchmark == p.benchmark && warm.script == p.script) {
             warm.from_disk_cache = true;
-            warm.timings.push_back({"disk", us, cpu, true});
-            warm.total_micros = us;  // what the replay actually cost
+            warm.timings.push_back({"disk", probe.micros, probe.cpu_micros, true});
+            warm.total_micros = probe.micros;  // what the replay actually cost
             metrics_.counter("flow.disk_hits").add();
             span.arg("disk", "hit");
-            ospan.arg("disk", "hit");
-            ospan.arg("status", to_string(warm.status));
+            span.arg("status", to_string(warm.status));
             ADC_LOG_INFO("flow", "run served from disk cache",
                          {{"benchmark", p.benchmark}, {"script", p.script}});
             sample_gauges();
@@ -476,12 +535,9 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
     if (req.provenance) p.provenance = build_provenance(p, *parsed, *snap, *set);
 
     if (req.simulate) {
-      std::uint64_t us = 0, cpu = 0;
       {
         auto stage_guard = checkpoint("sim");
-        ScopedSpan sspan(opts_.tracer, "sim");
-        obs::TraceSpan osspan(octx, "sim");
-        StageTimer t(&metrics_.histogram("stage.sim"), &us, &cpu);
+        StageScope stage(octx, "sim", "stage", stage_sim_, &p.timings);
         EventSimOptions sim_opts = req.sim;
         sim_opts.cancel = &req.cancel;
         SimEventLog event_log;
@@ -513,10 +569,8 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
                                      {"script", p.script}});
           }
         }
-        sspan.arg("ok", r.completed);
-        osspan.arg("ok", r.completed);
+        stage.span().arg("ok", r.completed);
       }
-      p.timings.push_back({"sim", us, cpu, false});
     }
     p.status = p.ok ? FlowStatus::kOk
                     : p.deadlocked ? FlowStatus::kDeadlock : FlowStatus::kError;
@@ -555,12 +609,7 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
   }
   span.arg("ok", p.ok);
   span.arg("status", to_string(p.status));
-  ospan.arg("ok", p.ok);
-  ospan.arg("status", to_string(p.status));
-  // Stamp the cost before the return: the early disk-hit return above
-  // keeps this function from being NRVO'd, so the StageTimer destructor
-  // would write into a dead local, not the returned point.
-  p.total_micros = total.elapsed_micros();
+  p.total_micros = total.close().micros;
   // Persist completed outcomes (ok and the legitimate deadlock corners —
   // both are deterministic verdicts worth replaying; transient failures
   // are not).

@@ -33,11 +33,11 @@
 
 #include "cdfg/cdfg.hpp"
 #include "logic/memo.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace_context.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/disk_cache.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/event_sim.hpp"
 #include "trace/provenance.hpp"
@@ -88,11 +88,12 @@ struct FlowRequest {
   std::uint64_t deadline_ms = 0;        // whole-job wall budget
   // External cancellation; shared with the deadline watchdog.
   CancelToken cancel;
-  // Request-scoped trace (obs/trace_context.hpp).  When active, run()
-  // parents one span per executed stage — frontend, each gt step,
-  // per-controller synthesis, sim, disk probe/replay — under it, so a
-  // serving daemon exports one connected tree per job.  Default-empty:
-  // the batch CLIs pay two null checks per stage.
+  // Request-scoped trace (obs/trace_context.hpp).  When it carries a
+  // JobTrace, run() parents one span per executed stage — frontend, each
+  // gt step, per-controller synthesis, sim, disk probe/replay — under it,
+  // so a serving daemon exports one connected tree per job.  run() adds
+  // the executor's Options::tracer to it.  Default-empty: the batch CLIs
+  // pay a few null checks per stage.
   obs::TraceContext trace;
 };
 
@@ -207,7 +208,9 @@ class FlowExecutor {
   // in request order.
   std::vector<FlowPoint> run_all(const std::vector<FlowRequest>& reqs);
 
-  MetricsRegistry& metrics() { return metrics_; }
+  // This executor's own registry (unlabeled flow.*/stage.* metrics);
+  // never the daemon's, whose families are the /metrics catalogue.
+  obs::Registry& metrics() { return metrics_; }
   const StageCache& cache() const { return cache_; }
   // Null unless Options::disk_cache_dir was set.
   DiskCache* disk_cache() { return disk_.get(); }
@@ -244,7 +247,14 @@ class FlowExecutor {
   StageCache cache_;
   std::unique_ptr<DiskCache> disk_;
   std::unique_ptr<LogicMemo> logic_memo_;
-  MetricsRegistry metrics_;
+  obs::Registry metrics_;
+  // The stage histograms, resolved once at construction.
+  obs::SlidingHistogram& stage_frontend_;
+  obs::SlidingHistogram& stage_global_;
+  obs::SlidingHistogram& stage_controllers_;
+  obs::SlidingHistogram& stage_sim_;
+  obs::SlidingHistogram& stage_disk_;
+  obs::SlidingHistogram& flow_total_;
 };
 
 // --- builtin benchmark registry for the CLIs ------------------------------

@@ -301,14 +301,9 @@ void ServeServer::sample_observability() {
       .set(static_cast<std::int64_t>(pool_->pending()));
   registry_.gauge("serve.pool.tasks_executed")
       .set(static_cast<std::int64_t>(pool_->tasks_executed()));
-  auto ec = exec_->metrics().counters();
-  auto exec_count = [&ec](const char* name) -> std::int64_t {
-    auto it = ec.find(name);
-    return it == ec.end() ? 0 : static_cast<std::int64_t>(it->second);
-  };
-  registry_.gauge("serve.flow.timeouts").set(exec_count("flow.timeouts"));
-  registry_.gauge("serve.flow.faults").set(exec_count("flow.faults"));
-  registry_.gauge("serve.flow.deadlocks").set(exec_count("flow.deadlocks"));
+  for (const char* name : {"flow.timeouts", "flow.faults", "flow.deadlocks"})
+    registry_.gauge(std::string("serve.") + name)
+        .set(static_cast<std::int64_t>(exec_->metrics().counter(name).value()));
   LogicMemo::Stats ms = exec_->logic_memo().stats();
   registry_.gauge("logic.memo.hits").set(static_cast<std::int64_t>(ms.hits));
   registry_.gauge("logic.memo.disk_hits")

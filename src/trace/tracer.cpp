@@ -163,18 +163,4 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
   os << w.str();
 }
 
-ScopedSpan::ScopedSpan(Tracer* tracer, std::string name, std::string category,
-                       std::vector<std::pair<std::string, std::string>> begin_args)
-    : tracer_(tracer), name_(std::move(name)), category_(std::move(category)) {
-  if (tracer_) tracer_->begin(name_, category_, std::move(begin_args));
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (tracer_) tracer_->end(name_, category_, std::move(end_args_));
-}
-
-void ScopedSpan::arg(std::string key, std::string value) {
-  if (tracer_) end_args_.emplace_back(std::move(key), std::move(value));
-}
-
 }  // namespace adc

@@ -8,11 +8,12 @@
 // cache or computed.
 //
 //   Tracer tracer;
+//   obs::TraceContext ctx(&tracer);       // obs/trace_context.hpp
 //   {
-//     ScopedSpan run(&tracer, "flow.run", "flow");
+//     obs::TraceSpan run(ctx, "flow.run", "flow");
 //     run.arg("benchmark", "diffeq");
 //     {
-//       ScopedSpan fe(&tracer, "frontend", "stage");
+//       obs::TraceSpan fe(run.context(), "frontend");
 //       fe.arg("cache", "miss");
 //       ...
 //     }
@@ -21,13 +22,16 @@
 //   std::ofstream out("run.trace.json");
 //   tracer.write_chrome_trace(out);
 //
+// obs::TraceSpan is the one span type: on a context that also carries a
+// per-job JobTrace it records into both.
+//
 // Implementation notes:
 //  * every thread gets a stable track id (Chrome "tid") on first use, so
 //    spans from one worker nest on one row and B/E pairs balance per track;
 //  * events are buffered per thread (a mutex only guards registration and
 //    export), so tracing adds two clock reads and a vector push per span;
-//  * a null Tracer* everywhere means tracing is off — ScopedSpan collapses
-//    to a no-op, which is how the flow runs when --trace-out is absent.
+//  * a null Tracer* everywhere means tracing is off, which is how the flow
+//    runs when --trace-out is absent.
 
 #include <chrono>
 #include <cstdint>
@@ -57,7 +61,7 @@ class Tracer {
   // Microseconds since this tracer was constructed (the trace epoch).
   std::uint64_t now_micros() const;
 
-  // Raw event emission; prefer ScopedSpan for begin/end pairing.
+  // Raw event emission; prefer obs::TraceSpan for begin/end pairing.
   void begin(const std::string& name, const std::string& category,
              std::vector<std::pair<std::string, std::string>> args = {});
   void end(const std::string& name, const std::string& category,
@@ -92,33 +96,6 @@ class Tracer {
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;  // guards `buffers_`
   std::vector<std::shared_ptr<TrackBuffer>> buffers_;
-};
-
-// RAII span: begin at construction, end at destruction.  `arg` attaches
-// key=value pairs that land on the *end* event (so results computed during
-// the span — cache disposition, counts — are visible in the timeline).
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer* tracer, std::string name, std::string category = "stage",
-             std::vector<std::pair<std::string, std::string>> begin_args = {});
-  ~ScopedSpan();
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  void arg(std::string key, std::string value);
-  // Literals must not fall into the bool overload (const char* -> bool is a
-  // standard conversion and would win overload resolution).
-  void arg(std::string key, const char* value) { arg(std::move(key), std::string(value)); }
-  void arg(std::string key, std::uint64_t value) { arg(std::move(key), std::to_string(value)); }
-  void arg(std::string key, bool value) {
-    arg(std::move(key), std::string(value ? "true" : "false"));
-  }
-
- private:
-  Tracer* tracer_;
-  std::string name_;
-  std::string category_;
-  std::vector<std::pair<std::string, std::string>> end_args_;
 };
 
 }  // namespace adc

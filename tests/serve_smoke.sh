@@ -10,7 +10,8 @@
 #   3. render one adc_top frame off the live daemon;
 #   4. fetch a per-job trace with adc_submit --trace-out and validate it;
 #   5. SIGTERM the daemon and require a clean drain (exit 0), then
-#      validate the access log it wrote;
+#      validate the access log and the process trace (--trace-out: spans
+#      of concurrent jobs on both workers) it wrote;
 #   6. start a second daemon over the same cache directory and re-run the
 #      grid: every point must replay from the disk tier ("from_disk_cache"
 #      32 times in the JSON report);
@@ -30,7 +31,8 @@ SOCK="$WORKDIR/serve_smoke.sock"
 CACHE="$WORKDIR/serve_smoke_cache"
 READY="$WORKDIR/serve_smoke_ready.json"
 ACCESS="$WORKDIR/serve_smoke_access.jsonl"
-rm -rf "$CACHE" "$READY" "$SOCK" "$ACCESS" "$ACCESS.1"
+PROCESS_TRACE="$WORKDIR/serve_smoke_process.trace.json"
+rm -rf "$CACHE" "$READY" "$SOCK" "$ACCESS" "$ACCESS.1" "$PROCESS_TRACE"
 mkdir -p "$WORKDIR"
 
 fail() {
@@ -46,11 +48,12 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Extra arguments go to adc_serve.
 start_daemon() {
     rm -f "$READY"
     "$ADC_SERVE" --socket "$SOCK" --cache-dir "$CACHE" \
         --metrics-port 0 --access-log "$ACCESS" \
-        --ready-file "$READY" --workers 2 --log-level warn &
+        --ready-file "$READY" --workers 2 --log-level warn "$@" &
     daemon_pid=$!
     i=0
     while [ ! -f "$READY" ]; do
@@ -86,7 +89,7 @@ warm_count() {
 }
 
 # --- cold daemon, scraped mid-load ------------------------------------------
-start_daemon
+start_daemon --trace-out "$PROCESS_TRACE"
 grid_run "$WORKDIR/serve_smoke_cold.json" &
 grid_pid=$!
 sleep 2
@@ -114,8 +117,10 @@ grep -q '"queue.wait"' "$WORKDIR/serve_smoke_trace.json" ||
     fail "per-job trace has no queue.wait span"
 stop_daemon
 
-# --- access log written by the drained daemon -------------------------------
+# --- access log and process trace written by the drained daemon ------------
 "$ADC_OBS_CHECK" --access-log "$ACCESS" || fail "access log failed validation"
+"$ADC_OBS_CHECK" --trace "$PROCESS_TRACE" ||
+    fail "daemon process trace failed validation"
 done_lines=$(grep -c '"event":"done"' "$ACCESS" || true)
 [ "$done_lines" -ge 33 ] ||
     fail "access log has $done_lines done lines (want >= 33)"
@@ -131,4 +136,4 @@ stop_daemon
 "$ADC_OBS_CHECK" --cache-dir "$CACHE" || fail "cache audit failed"
 
 echo "serve_smoke: ok (32-point grid cold + warm, mid-load metrics scrape," \
-     "traced job, validated access log, clean SIGTERM drains)"
+     "traced job, validated access log and process trace, clean SIGTERM drains)"

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <set>
 
+#include "report/json.hpp"
+
 namespace adc {
 namespace {
 
@@ -184,7 +186,9 @@ TEST(FlowHelpers, JsonReportContainsTheMetrics) {
   EXPECT_NE(json.find("\"channels\":"), std::string::npos);
   EXPECT_NE(json.find("\"controllers\":"), std::string::npos);
   EXPECT_NE(json.find("\"stages\":"), std::string::npos);
-  std::string metrics = exec.metrics().to_json();
+  JsonWriter w;
+  exec.metrics().write_json(w);
+  std::string metrics = w.str();
   EXPECT_NE(metrics.find("\"counters\""), std::string::npos);
   EXPECT_NE(metrics.find("flow.runs"), std::string::npos);
 }

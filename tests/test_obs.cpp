@@ -1,5 +1,6 @@
-// The serving observability layer in isolation: the labeled metrics
-// registry and its sliding-window histograms, Prometheus text rendering
+// The observability layer in isolation: the metrics registry (unlabeled
+// and labeled series), its sliding-window histograms and the one quantile
+// rule both of their quantile kinds use, Prometheus text rendering
 // and the validator that re-parses it, the strict HTTP request-line
 // parser against a truncation/poison corpus, the real loopback /metrics
 // listener, JSONL access-log append/rotate/validate, and per-job trace
@@ -114,6 +115,104 @@ TEST(ObsRegistry, WriteJsonShape) {
   EXPECT_EQ(h.at("count").number, 1);
   EXPECT_EQ(h.at("sum_us").number, 50);
   ASSERT_NE(h.find("window_p99_us"), nullptr);
+}
+
+TEST(ObsRegistry, UnlabeledNamesAreStableAndShared) {
+  Registry reg;
+  reg.counter("a").add(2);
+  reg.counter("a").add(3);
+  reg.gauge("q").set(std::int64_t{4});
+  EXPECT_EQ(reg.counter("a").value(), 5u);
+  EXPECT_EQ(reg.gauge("q").value(), 4);
+  reg.gauge("q").set(std::int64_t{-7});
+  EXPECT_EQ(reg.gauge("q").value(), -7) << "gauges are signed";
+
+  reg.update_gauges({{"q", 1}, {"disk.hits", 2}});
+  Registry::Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.gauges.size(), 2u);
+  EXPECT_EQ(snap.gauges[0].name, "disk.hits");
+  EXPECT_EQ(snap.gauges[0].value, 2);
+  EXPECT_EQ(snap.gauges[1].value, 1);
+}
+
+TEST(ObsRegistry, WriteJsonCarriesLifetimeQuantiles) {
+  Registry reg;
+  reg.counter("flow.runs").add(3);
+  reg.gauge("pool.pending").set(std::int64_t{2});
+  for (std::uint64_t i = 1; i <= 100; ++i) reg.histogram("stage.sim").record_micros(i);
+
+  JsonWriter w;
+  reg.write_json(w);
+  JsonValue doc = parse_json(w.str());
+  EXPECT_EQ(doc.at("counters").array.at(0).at("name").string, "flow.runs");
+  EXPECT_EQ(doc.at("counters").array.at(0).at("value").number, 3.0);
+  EXPECT_EQ(doc.at("gauges").array.at(0).at("value").number, 2.0);
+  const JsonValue& h = doc.at("histograms").array.at(0);
+  EXPECT_EQ(h.at("name").string, "stage.sim");
+  EXPECT_EQ(h.at("count").number, 100.0);
+  for (const char* key : {"p50_us", "p90_us", "p99_us", "sum_us", "max_us"})
+    EXPECT_TRUE(h.find(key)) << key;
+  EXPECT_LE(h.at("p50_us").number, h.at("p99_us").number);
+  EXPECT_EQ(h.at("max_us").number, 100.0);
+  // Fresh samples: the window and the lifetime agree.
+  EXPECT_EQ(h.at("p50_us").number, h.at("window_p50_us").number);
+}
+
+// --- the one quantile rule --------------------------------------------------
+
+// Lifetime q-quantile of `samples`, through histogram_quantile_micros.
+std::uint64_t quantile_of(const std::vector<std::uint64_t>& samples, double q) {
+  SlidingHistogram h;
+  for (std::uint64_t v : samples) h.record_micros(v);
+  SlidingHistogram::Snapshot s = h.snapshot();
+  return histogram_quantile_micros(s.buckets, s.count, s.max_micros, q);
+}
+
+TEST(Histogram, EmptyQuantilesAreZero) {
+  EXPECT_EQ(quantile_of({}, 0.0), 0u);
+  EXPECT_EQ(quantile_of({}, 0.5), 0u);
+  EXPECT_EQ(quantile_of({}, 1.0), 0u);
+}
+
+TEST(Histogram, SingleSampleEveryQuantileIsTheSample) {
+  // Bucket bounds are powers of two; the recorded maximum caps the answer
+  // so a lone 100µs sample never reports as 128µs.
+  for (double q : {0.0, 0.5, 0.9, 1.0}) EXPECT_EQ(quantile_of({100}, q), 100u) << q;
+}
+
+TEST(Histogram, QOneNeverExceedsTheMaximum) {
+  const std::vector<std::uint64_t> samples = {3, 5, 9, 1000, 70000};
+  EXPECT_EQ(quantile_of(samples, 1.0), 70000u);
+  EXPECT_LE(quantile_of(samples, 0.99), 70000u);
+}
+
+TEST(Histogram, OutOfRangeQIsClamped) {
+  EXPECT_EQ(quantile_of({10}, -3.0), quantile_of({10}, 0.0));
+  EXPECT_EQ(quantile_of({10}, 7.0), quantile_of({10}, 1.0));
+}
+
+TEST(Histogram, QuantilesAreOrdered) {
+  std::vector<std::uint64_t> samples;
+  for (std::uint64_t i = 1; i <= 1000; ++i) samples.push_back(i);
+  std::uint64_t p50 = quantile_of(samples, 0.5);
+  std::uint64_t p90 = quantile_of(samples, 0.9);
+  std::uint64_t p99 = quantile_of(samples, 0.99);
+  EXPECT_LE(p50, p90);
+  EXPECT_LE(p90, p99);
+  EXPECT_LE(p99, 1000u);
+  EXPECT_GE(p50, 256u);  // the true median (500) lives in bucket [256,512)
+}
+
+TEST(Histogram, NearestRankMedianOfTwoSamples) {
+  // Nearest rank: p50 of {1, 1000} is the first sample, reported as its
+  // bucket's upper bound — not the second sample.
+  EXPECT_EQ(quantile_of({1, 1000}, 0.5), 2u);
+  EXPECT_EQ(quantile_of({1, 1000}, 1.0), 1000u);
+  // The window quantile goes through the same rule.
+  SlidingHistogram h;
+  h.record_micros(1);
+  h.record_micros(1000);
+  EXPECT_EQ(h.snapshot().window_p50_micros, 2u);
 }
 
 // --- sliding histogram ------------------------------------------------------

@@ -1,17 +1,20 @@
 // Trace-layer tests: the span tracer must produce well-formed Chrome
 // trace_event JSON (validated with the repo's own parser) with balanced
 // B/E pairs per track even under a multi-threaded DSE batch, stage spans
-// must carry their cache disposition, and the structured logger must honour
-// levels and render fields.
+// must carry their cache disposition, every stage of a run must reach
+// every telemetry sink, and the structured logger must honour levels and
+// render fields.
 
 #include "trace/tracer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/trace_context.hpp"
 #include "report/json_parse.hpp"
 #include "runtime/flow.hpp"
 #include "trace/flush.hpp"
@@ -24,9 +27,10 @@ namespace {
 
 TEST(Tracer, SpansBeginAndEndOnOneTrack) {
   Tracer tracer;
+  const obs::TraceContext ctx(&tracer);
   {
-    ScopedSpan outer(&tracer, "outer", "test");
-    ScopedSpan inner(&tracer, "inner", "test");
+    obs::TraceSpan outer(ctx, "outer", "test");
+    obs::TraceSpan inner(ctx, "inner", "test");
     inner.arg("cache", "miss");
   }
   auto tracks = tracer.tracks();
@@ -47,14 +51,15 @@ TEST(Tracer, SpansBeginAndEndOnOneTrack) {
 
 TEST(Tracer, TimestampsAreMonotonicPerTrack) {
   Tracer tracer;
-  for (int i = 0; i < 10; ++i) ScopedSpan span(&tracer, "s", "test");
+  for (int i = 0; i < 10; ++i) obs::TraceSpan span(obs::TraceContext(&tracer), "s", "test");
   auto events = tracer.events_for_track(tracer.tracks()[0]);
   for (std::size_t i = 1; i < events.size(); ++i)
     EXPECT_GE(events[i].ts_micros, events[i - 1].ts_micros);
 }
 
 TEST(Tracer, NullTracerIsANoOp) {
-  ScopedSpan span(nullptr, "ignored");
+  Tracer* none = nullptr;
+  obs::TraceSpan span(obs::TraceContext(none), "ignored");
   span.arg("k", "v");
   // Nothing to assert beyond "does not crash".
 }
@@ -152,6 +157,53 @@ TEST(ChromeTrace, GaugesAreSampledAsCounterEvents) {
   EXPECT_GT(counters["cache.entries"], 0);
   EXPECT_GT(counters["cache.bytes"], 0);
   EXPECT_GT(counters["pool.pending"], 0);
+}
+
+// --- one stage, every sink ------------------------------------------------
+
+// name -> the `cache` args ("" when absent) of every span of that name.
+using CacheArgs = std::map<std::string, std::multiset<std::string>>;
+
+std::string cache_arg_of(const std::vector<std::pair<std::string, std::string>>& args) {
+  for (const auto& [k, v] : args)
+    if (k == "cache") return v;
+  return "";
+}
+
+TEST(TelemetrySpine, EveryTimingsRowReachesEverySink) {
+  Tracer tracer;
+  FlowExecutor::Options opts;
+  opts.tracer = &tracer;
+  FlowExecutor exec(nullptr, opts);
+  auto job = std::make_shared<obs::JobTrace>(1);
+  FlowRequest req = make_builtin_request(*find_builtin("mac_reduce"), "gt1; gt2; gt5; lt");
+  req.trace = obs::TraceContext(job, 0);
+  std::map<std::string, std::size_t> rows;  // name -> row count
+  std::map<std::string, std::multiset<bool>> cached;
+  for (int run = 0; run < 2; ++run) {  // cold, then warm off the stage cache
+    FlowPoint p = exec.run(req);
+    ASSERT_TRUE(p.ok) << p.error;
+    for (const StageTiming& t : p.timings) {
+      ++rows[t.stage];
+      cached[t.stage].insert(t.cached);
+    }
+  }
+  ASSERT_EQ(rows.size(), 4u);  // frontend, global, controllers, sim
+  EXPECT_EQ(cached["frontend"], (std::multiset<bool>{false, true}));
+
+  CacheArgs process, per_job;
+  for (std::uint32_t track : tracer.tracks())
+    for (const TraceEvent& ev : tracer.events_for_track(track))
+      if (ev.phase == TraceEvent::Phase::kEnd) process[ev.name].insert(cache_arg_of(ev.args));
+  for (const obs::TraceSpanRecord& span : job->spans())
+    per_job[span.name].insert(cache_arg_of(span.args));
+
+  for (const auto& [name, count] : rows) {
+    EXPECT_EQ(process[name].size(), count) << name;
+    EXPECT_EQ(process[name], per_job[name]) << name;
+    EXPECT_EQ(exec.metrics().histogram("stage." + name).snapshot().count, count) << name;
+  }
+  EXPECT_EQ(process["frontend"], (std::multiset<std::string>{"hit", "miss"}));
 }
 
 // --- structured logger ----------------------------------------------------

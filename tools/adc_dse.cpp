@@ -24,8 +24,6 @@
 //   --no-sim                skip event-simulation (structure metrics only)
 //   --verify-serial         also evaluate the grid serially on one thread
 //                           and fail if any metric differs
-//   --metrics               dump runtime metrics JSON to stderr (the same
-//                           object --json embeds under "metrics")
 //   --trace-out FILE        Chrome trace_event JSON of the whole batch:
 //                           per-stage spans with cache hit/miss annotations
 //                           across every worker (open in Perfetto)
@@ -104,7 +102,7 @@ int usage(int code) {
                "usage: adc_dse [--bench NAMES] [--recipes \"S1 | S2\"] "
                "[--grid gt|gt-nolt] [--jobs N] [--json FILE] "
                "[--init REG=VAL,...] [--seed N] [--randomize] [--no-sim] "
-               "[--verify-serial] [--metrics] [--trace-out FILE] "
+               "[--verify-serial] [--trace-out FILE] "
                "[--provenance DIR] [--vcd DIR] [--critical-path] "
                "[--profile-out FILE] [--frontier] [--explain A:B] "
                "[--cache-dir DIR] [--cache-bytes N] "
@@ -262,7 +260,7 @@ int main(int argc, char** argv) {
   std::uint64_t stage_deadline_ms = 0, point_deadline_ms = 0;
   unsigned retries = 2;
   std::uint64_t retry_backoff_ms = 50;
-  bool randomize = false, simulate = true, verify_serial = false, dump_metrics = false;
+  bool randomize = false, simulate = true, verify_serial = false;
   bool critical_path = false;
   std::string profile_out;
   std::string explain_spec;
@@ -288,7 +286,6 @@ int main(int argc, char** argv) {
     else if (arg == "--randomize") randomize = true;
     else if (arg == "--no-sim") simulate = false;
     else if (arg == "--verify-serial") verify_serial = true;
-    else if (arg == "--metrics") dump_metrics = true;
     else if (arg == "--trace-out") trace_path = next();
     else if (arg == "--provenance") prov_dir = next();
     else if (arg == "--vcd") vcd_dir = next();
@@ -477,10 +474,10 @@ int main(int argc, char** argv) {
     // analysis.* gauges so the --json metrics object carries them.
     std::unique_ptr<analysis::DseProfile> profile;
     if (profiling) {
-      ScopedSpan span(opts.tracer, "analysis.profile");
+      obs::TraceSpan span(obs::TraceContext(opts.tracer), "analysis.profile");
       profile = std::make_unique<analysis::DseProfile>(
           analysis::build_dse_profile(points, "adc_dse"));
-      MetricsRegistry& m = exec.metrics();
+      obs::Registry& m = exec.metrics();
       m.gauge("analysis.points")
           .set(static_cast<std::int64_t>(profile->points.size()));
       m.gauge("analysis.frontier_size")
@@ -630,11 +627,11 @@ int main(int argc, char** argv) {
         }
       }
       if (frontier) {
-        ScopedSpan span(opts.tracer, "analysis.frontier");
+        obs::TraceSpan span(obs::TraceContext(opts.tracer), "analysis.frontier");
         std::printf("%s", frontier_report(*profile).c_str());
       }
       if (!explain_spec.empty()) {
-        ScopedSpan span(opts.tracer, "analysis.explain");
+        obs::TraceSpan span(obs::TraceContext(opts.tracer), "analysis.explain");
         auto colon = explain_spec.find(':');
         std::size_t ia = resolve_explain_ref(explain_spec.substr(0, colon), points);
         std::size_t ib = resolve_explain_ref(explain_spec.substr(colon + 1), points);
@@ -643,8 +640,6 @@ int main(int argc, char** argv) {
         std::printf("%s", rep.to_table().c_str());
       }
     }
-    if (dump_metrics)
-      std::fprintf(stderr, "%s\n", exec.metrics().to_json().c_str());
     if (!trace_path.empty()) {
       unregister_artifact_flush(trace_token);
       std::ofstream out(trace_path);

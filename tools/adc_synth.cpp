@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
     // cache) and attribute the cycle-time delta to the differing
     // transform decisions.
     if (!explain_vs.empty()) {
-      ScopedSpan span(opts.tracer, "analysis.explain");
+      obs::TraceSpan span(obs::TraceContext(opts.tracer), "analysis.explain");
       FlowRequest req2 = req;
       req2.script = explain_vs;
       req2.cancel = CancelToken();
