@@ -117,7 +117,17 @@ TEST(ObsRegistry, WriteJsonShape) {
   ASSERT_NE(h.find("window_p99_us"), nullptr);
 }
 
-TEST(ObsRegistry, UnlabeledNamesAreStableAndShared) {
+TEST(ObsGauge, SetOverwritesAndIsSigned) {
+  Gauge g;
+  EXPECT_EQ(g.value(), 0);
+  g.set(std::int64_t{10});
+  g.set(std::int64_t{13});
+  EXPECT_EQ(g.value(), 13);
+  g.set(std::int64_t{-7});
+  EXPECT_EQ(g.value(), -7) << "gauges are signed";
+}
+
+TEST(MetricsRegistry, NamesAreStableAndShared) {
   Registry reg;
   reg.counter("a").add(2);
   reg.counter("a").add(3);
