@@ -3,60 +3,16 @@
 // simulators, with an iteration-count sweep.  GT1's loop parallelism and
 // the LT critical-path optimizations should show as monotone speedups.
 //
-//   ./build/bench/perf_simulation [--json FILE]
-//
-// --json emits the BENCH JSON schema (perf/record.hpp): one record per
-// (simulator, optimization level, iteration count) with the measured wall
-// time of the simulation and the simulated latency as a counter — the same
-// record structure adc_bench writes, so saved runs diff with
-// `adc_bench --diff`.
+//   ./build/bench/perf_simulation
 
-#include <cstring>
-#include <fstream>
+#include <algorithm>
 
 #include "common.hpp"
-#include "perf/measure.hpp"
 
 using namespace adc;
 using namespace adc::bench;
 
-namespace {
-
-std::vector<perf::BenchRecord> records;
-
-// One-shot measurement wrapper: wall/CPU around `fn`, simulated results as
-// counters.
-template <typename Fn>
-auto timed(const std::string& suite, const std::string& name, Fn&& fn) {
-  std::uint64_t w0 = perf::wall_now_micros();
-  std::uint64_t c0 = perf::process_cpu_micros();
-  auto result = fn();
-  double wall = static_cast<double>(perf::wall_now_micros() - w0);
-  double cpu = static_cast<double>(perf::process_cpu_micros() - c0);
-  perf::BenchRecord rec;
-  rec.suite = suite;
-  rec.name = name;
-  rec.repeats = 1;
-  rec.wall_us = perf::stat_from_samples({wall}, false);
-  rec.cpu_us = perf::stat_from_samples({cpu}, false);
-  rec.peak_rss_kb = perf::peak_rss_kb();
-  rec.counters["finish_time"] = static_cast<double>(result.finish_time);
-  records.push_back(std::move(rec));
-  return result;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--json") && i + 1 < argc) json_path = argv[++i];
-    else {
-      std::fprintf(stderr, "usage: perf_simulation [--json FILE]\n");
-      return !std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h") ? 0 : 2;
-    }
-  }
-
+int main() {
   std::printf("DIFFEQ execution latency (worst-case delays, deterministic)\n\n");
 
   struct Variant {
@@ -79,10 +35,7 @@ int main(int argc, char** argv) {
       if (v.gt) run_global_transforms(g);
       TokenSimOptions o;
       o.randomize_delays = false;
-      auto r = timed("token",
-                     std::string("token.diffeq_") + (v.gt ? "gt" : "unopt") +
-                         "_a" + std::to_string(a),
-                     [&] { return run_token_sim(g, diffeq_inputs(a), o); });
+      auto r = run_token_sim(g, diffeq_inputs(a), o);
       if (!r.completed) {
         std::printf("  %s failed: %s\n", v.label, r.error.c_str());
         return 1;
@@ -110,12 +63,7 @@ int main(int argc, char** argv) {
       FlowResult f = run_flow(diffeq(), v.gt, v.lt);
       EventSimOptions o;
       o.randomize_delays = false;
-      std::string tag = !v.gt ? "unopt" : v.lt ? "gtlt" : "gt";
-      auto r = timed("event", "event.diffeq_" + tag + "_a" + std::to_string(a),
-                     [&] {
-                       return run_event_sim(f.g, f.plan, f.instances,
-                                            diffeq_inputs(a), o);
-                     });
+      auto r = run_event_sim(f.g, f.plan, f.instances, diffeq_inputs(a), o);
       if (!r.completed) {
         std::printf("  %s failed: %s\n", v.label, r.error.c_str());
         return 1;
@@ -148,21 +96,5 @@ int main(int argc, char** argv) {
                 gt ? "optimized-GT" : "unoptimized", overlap);
   }
 
-  if (!json_path.empty()) {
-    perf::BenchReport rep;
-    rep.tool = "perf_simulation";
-    rep.env = perf::capture_env();
-    rep.policy.warmup = 0;
-    rep.policy.repeats = 1;
-    rep.policy.trim_outliers = false;
-    rep.benchmarks = std::move(records);
-    std::ofstream out(json_path);
-    out << perf::to_json(rep) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "perf_simulation: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "perf_simulation: wrote %s\n", json_path.c_str());
-  }
   return 0;
 }

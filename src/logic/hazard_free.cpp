@@ -116,8 +116,7 @@ std::vector<Cube> candidates_from_seeds(const SpecCtx& s, const std::vector<Cube
 }
 
 // Packed covers-of rows: bit r of row c says candidate c contains reduced
-// requirement r.  Greedy gain and branch-and-bound bookkeeping become
-// popcount loops over these words.
+// requirement r.  Greedy gain becomes a popcount loop over these words.
 struct CoverMatrix {
   std::size_t n_req = 0;
   std::size_t req_words = 0;
@@ -150,108 +149,6 @@ struct CoverMatrix {
   }
 };
 
-// Exact minimum unate covering by branch and bound over the packed rows.
-// Branches on the uncovered requirement with the fewest covering
-// candidates (strongest constraint first), prunes with a covering-rate
-// lower bound, and skips candidates whose uncovered contribution another
-// branch choice dominates.
-class ExactSolver {
- public:
-  ExactSolver(const CoverMatrix& m, int depth_limit, const CancelToken* cancel)
-      : m_(m),
-        depth_limit_(depth_limit),
-        cancel_(cancel),
-        covered_(m.req_words, 0),
-        cand_of_req_(m.n_req) {
-    for (std::size_t c = 0; c < m_.n_cand; ++c) {
-      const std::uint64_t* row = m_.row(c);
-      max_row_pop_ = std::max(max_row_pop_, m_.gain(c, covered_));
-      for (std::size_t r = 0; r < m_.n_req; ++r)
-        if (row[r / 64] >> (r % 64) & 1) cand_of_req_[r].push_back(c);
-    }
-  }
-
-  std::vector<std::size_t> solve() {
-    recurse(0);
-    return best_;
-  }
-
- private:
-  void recurse(std::size_t covered_count) {
-    if (cancel_) cancel_->throw_if_cancelled();
-    if (!best_.empty() && chosen_.size() >= best_.size()) return;
-    if (covered_count == m_.n_req) {
-      best_ = chosen_;
-      return;
-    }
-    if (static_cast<int>(chosen_.size()) >= depth_limit_) return;
-    // Even a perfect remaining pick covers at most max_row_pop_ new
-    // requirements per product.
-    if (!best_.empty() && max_row_pop_ > 0) {
-      std::size_t need = (m_.n_req - covered_count + max_row_pop_ - 1) / max_row_pop_;
-      if (chosen_.size() + need >= best_.size()) return;
-    }
-
-    // Branch on the uncovered requirement with the fewest covering
-    // candidates.
-    std::size_t branch_r = m_.n_req;
-    std::size_t branch_width = std::numeric_limits<std::size_t>::max();
-    for (std::size_t r = 0; r < m_.n_req; ++r) {
-      if (covered_[r / 64] >> (r % 64) & 1) continue;
-      if (cand_of_req_[r].size() < branch_width) {
-        branch_width = cand_of_req_[r].size();
-        branch_r = r;
-      }
-    }
-    if (branch_r == m_.n_req || branch_width == 0) return;  // uncoverable
-
-    const auto& options = cand_of_req_[branch_r];
-    std::vector<std::uint64_t> saved = covered_;
-    for (std::size_t oi = 0; oi < options.size(); ++oi) {
-      std::size_t c = options[oi];
-      if (dominated_choice(options, oi)) continue;
-      const std::uint64_t* row = m_.row(c);
-      std::size_t added = 0;
-      for (std::size_t w = 0; w < m_.req_words; ++w) {
-        added += static_cast<std::size_t>(__builtin_popcountll(row[w] & ~covered_[w]));
-        covered_[w] |= row[w];
-      }
-      chosen_.push_back(c);
-      recurse(covered_count + added);
-      chosen_.pop_back();
-      covered_ = saved;
-    }
-  }
-
-  // Among the candidates covering the branch requirement, one whose
-  // uncovered contribution is a strict subset of another's (or an equal
-  // set with a higher index) can never lead to a smaller cover.
-  bool dominated_choice(const std::vector<std::size_t>& options, std::size_t oi) const {
-    const std::uint64_t* a = m_.row(options[oi]);
-    for (std::size_t oj = 0; oj < options.size(); ++oj) {
-      if (oj == oi) continue;
-      const std::uint64_t* b = m_.row(options[oj]);
-      bool subset = true, equal = true;
-      for (std::size_t w = 0; w < m_.req_words && subset; ++w) {
-        std::uint64_t ua = a[w] & ~covered_[w];
-        std::uint64_t ub = b[w] & ~covered_[w];
-        if (ua & ~ub) subset = false;
-        if (ua != ub) equal = false;
-      }
-      if (subset && (!equal || oj < oi)) return true;
-    }
-    return false;
-  }
-
-  const CoverMatrix& m_;
-  int depth_limit_;
-  const CancelToken* cancel_;
-  std::vector<std::uint64_t> covered_;
-  std::vector<std::vector<std::size_t>> cand_of_req_;
-  std::size_t max_row_pop_ = 0;
-  std::vector<std::size_t> chosen_, best_;
-};
-
 }  // namespace
 
 std::vector<Cube> candidate_implicants(const FunctionSpec& f,
@@ -271,7 +168,7 @@ std::vector<Cube> candidate_implicants(const FunctionSpec& f,
 CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts) {
   Fingerprint memo_key;
   if (opts.memo) {
-    memo_key = spec_fingerprint(f, opts.exact, opts.exact_limit);
+    memo_key = spec_fingerprint(f);
     if (auto hit = opts.memo->lookup(memo_key)) {
       CoverResult res;
       res.feasible = hit->feasible;
@@ -327,15 +224,6 @@ CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts
 
   auto candidates = candidates_from_seeds(s, seeds, opts.cancel);
   CoverMatrix m(candidates, reduced);
-
-  if (opts.exact && reduced.size() <= static_cast<std::size_t>(opts.exact_limit)) {
-    ExactSolver solver(m, static_cast<int>(reduced.size()) + 1, opts.cancel);
-    auto best = solver.solve();
-    if (!best.empty()) {
-      for (std::size_t c : best) res.products.push_back(candidates[c]);
-      return finish();
-    }
-  }
 
   // Greedy covering: most new requirements per pick, fewest literals on tie.
   std::vector<std::uint64_t> covered(m.req_words, 0);

@@ -18,7 +18,7 @@
 // A product satisfying all intersection rules and avoiding the OFF regions
 // is a *dhf implicant*.  Minimization selects a minimum set of dhf
 // implicants such that every required cube is contained in one of them
-// (greedy covering; small instances can optionally be solved exactly).
+// (greedy covering).
 
 #include <string>
 #include <vector>
@@ -57,11 +57,9 @@ struct CoverResult {
 class LogicMemo;
 
 struct CoverOptions {
-  bool exact = false;        // branch-and-bound when the instance is small
-  int exact_limit = 18;      // max required cubes for the exact search
-  // Cooperative cancellation: checked in the candidate-growth loop, the
-  // exact branch-and-bound and the greedy covering loop; a tripped token
-  // unwinds with CancelledError.  Not owned; null = never cancelled.
+  // Cooperative cancellation: checked in the candidate-growth loop and
+  // the greedy covering loop; a tripped token unwinds with
+  // CancelledError.  Not owned; null = never cancelled.
   const CancelToken* cancel = nullptr;
   // Optional cover memo (logic/memo.hpp): identical spec content replays
   // the stored cover instead of recomputing.  Not owned; null = off.

@@ -40,12 +40,10 @@ std::optional<Cube> cube_from_pattern(const std::string& pat) {
 
 }  // namespace
 
-Fingerprint spec_fingerprint(const FunctionSpec& f, bool exact, int exact_limit) {
+Fingerprint spec_fingerprint(const FunctionSpec& f) {
   FingerprintBuilder b;
   b.add("logic-memo-v1");
   b.add(static_cast<std::uint64_t>(f.vars));
-  b.add(exact);
-  b.add(static_cast<std::int64_t>(exact_limit));
 
   std::vector<Cube> required = f.required;
   std::sort(required.begin(), required.end());

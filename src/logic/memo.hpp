@@ -98,10 +98,9 @@ class LogicMemo {
   Stats stats_;
 };
 
-// Canonical content fingerprint of a spec + covering options: cube lists
-// are hashed in sorted order (cover results are order-independent — the
-// candidate pool and the reduced requirement list are set-derived), the
-// name is excluded.
-Fingerprint spec_fingerprint(const FunctionSpec& f, bool exact, int exact_limit);
+// Canonical content fingerprint of a spec: cube lists are hashed in
+// sorted order (cover results are order-independent — the candidate pool
+// and the reduced requirement list are set-derived), the name is excluded.
+Fingerprint spec_fingerprint(const FunctionSpec& f);
 
 }  // namespace adc

@@ -277,7 +277,7 @@ LogicSynthesisResult synthesize_impl(const Xbm& m, const SignalBindings* binding
   for (auto& issues : fn_issues)
     for (auto& issue : issues) res.issues.push_back(std::move(issue));
 
-  if (opts.share_products) share_products(res.functions, specs);
+  share_products(res.functions, specs);
   return res;
 }
 

@@ -1,8 +1,9 @@
 #pragma once
 // Top-level two-level synthesis of an XBM controller (the paper's gate
 // level, Figure 13): concretize phases, assign state codes, build one
-// hazard-free function specification per output and per feedback bit, and
-// minimize each cover.
+// hazard-free function specification per output and per feedback bit,
+// minimize each cover, then substitute single-user products with dhf
+// implicants another function already pays for (Minimalist-style sharing).
 //
 // Product/literal counting supports the paper's two tool modes:
 //  * single-output (3D-like): every function pays for its own products;
@@ -24,9 +25,6 @@ class ThreadPool;
 
 struct SynthesisOptions {
   CoverOptions cover;
-  // Minimalist-style post-pass: substitute single-user products with dhf
-  // implicants another function already pays for.
-  bool share_products = true;
   // Fan the independent per-function minimizations out on this pool (not
   // owned; null = serial).  Functions land at fixed indices and issues are
   // merged in function order, so results are identical either way.

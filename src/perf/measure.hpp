@@ -1,6 +1,6 @@
 #pragma once
-// Benchmark measurement harness: the registry `adc_bench` and the legacy
-// `bench/perf_*` drivers run, plus the clocks behind it.
+// Benchmark measurement harness: the registry `adc_bench` runs, plus the
+// clocks behind it.
 //
 // Policy: every benchmark body is one iteration of the thing being
 // measured.  The harness runs `warmup` untimed iterations (cache and

@@ -236,6 +236,16 @@ std::vector<std::string> validate_bench_json(const JsonValue& doc) {
     if (const JsonValue* c = env->find("cores"); c && c->is_number() && c->number < 1)
       bad("env.cores < 1");
   }
+  // The members parse_bench_report requires, so a file this passes also
+  // loads into adc_bench --diff.
+  if (const JsonValue* pol = doc.find("policy")) {
+    for (const char* k : {"warmup", "repeats"})
+      if (const JsonValue* m = pol->find(k); !m || !m->is_number())
+        bad(std::string("policy missing number '") + k + "'");
+    for (const char* k : {"trim_outliers", "quick"})
+      if (const JsonValue* m = pol->find(k); !m || !m->is_bool())
+        bad(std::string("policy missing boolean '") + k + "'");
+  }
   const JsonValue* benches = doc.find("benchmarks");
   if (!benches || !benches->is_array()) {
     bad("missing benchmarks array");
@@ -286,6 +296,16 @@ std::vector<std::string> validate_bench_json(const JsonValue& doc) {
           (st->string != "ok" && st->string != "timeout" && st->string != "error"))
         bad(label + ": status is not ok/timeout/error");
     }
+    if (const JsonValue* st = b.find("stages"); st && st->is_array())
+      for (const JsonValue& s : st->array) {
+        if (const JsonValue* n = s.find("stage"); !n || !n->is_string())
+          bad(label + ": stage missing string 'stage'");
+        for (const char* k : {"us", "cpu_us"})
+          if (const JsonValue* m = s.find(k); !m || !m->is_number())
+            bad(label + ": stage missing number '" + k + "'");
+        if (const JsonValue* c = s.find("cached"); !c || !c->is_bool())
+          bad(label + ": stage missing boolean 'cached'");
+      }
   }
   return problems;
 }

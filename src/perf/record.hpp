@@ -1,7 +1,7 @@
 #pragma once
 // The BENCH JSON schema (kind "adc-bench", version 1) — the machine-readable
-// benchmark record every perf driver in the toolchain emits, and the diff
-// logic `adc_bench --baseline --check` gates regressions with.
+// benchmark record `adc_bench` emits, and the diff logic
+// `adc_bench --baseline --check` gates regressions with.
 //
 // One BenchReport is one measurement session: an environment fingerprint
 // (git sha, compiler, flags, core count — the things that make two numbers
@@ -14,8 +14,7 @@
 // The schema is deliberately closed: emit (write_json), parse
 // (parse_bench_report), validate (validate_bench_json — what
 // `adc_obs_check --bench` runs) and compare (compare_reports) all live
-// here, so `adc_bench` and the legacy `bench/perf_*` drivers agree
-// byte-for-byte on record structure.
+// here, so a file the validator passes also loads for `adc_bench --diff`.
 
 #include <cstdint>
 #include <map>
@@ -99,7 +98,7 @@ struct BenchPolicy {
 
 struct BenchReport {
   int version = kBenchVersion;
-  std::string tool;  // "adc_bench", "perf_dse", ...
+  std::string tool;  // the emitting program, e.g. "adc_bench"
   BenchEnv env;
   BenchPolicy policy;
   std::vector<BenchRecord> benchmarks;

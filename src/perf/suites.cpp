@@ -204,14 +204,6 @@ void register_logic() {
     for (const auto& f : *specs) products += minimize_hazard_free(f).products.size();
     ctx.counters["products"] = static_cast<double>(products);
   });
-  add("logic", "logic.cover_exact_diffeq", [](BenchContext& ctx) {
-    auto specs = diffeq_specs();
-    CoverOptions o;
-    o.exact = true;
-    std::size_t products = 0;
-    for (const auto& f : *specs) products += minimize_hazard_free(f, o).products.size();
-    ctx.counters["products"] = static_cast<double>(products);
-  });
   add("logic", "logic.memo_warm_diffeq", [](BenchContext& ctx) {
     // Replay path: every spec is already in the memo, so the iteration
     // times fingerprint + lookup + cover materialization only.

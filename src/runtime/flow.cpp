@@ -301,7 +301,7 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
       // Per-function fan-out nests inside the per-controller TaskGroup;
       // both groups only join their own subtasks, so the nesting cannot
       // deadlock or bill foreign work to this stage's deadline.
-      if (opts_.fan_out_controllers) sopts.pool = pool_;
+      sopts.pool = pool_;
       sopts.trace = cspan.context();
       auto logic = synthesize_logic(c, sopts);
       m.products = logic.product_count(true);
@@ -320,7 +320,7 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
       out.controllers[i] = std::move(m);
       out.local_results[i] = std::move(local);
     };
-    if (pool_ && opts_.fan_out_controllers && extracted.size() > 1) {
+    if (pool_ && extracted.size() > 1) {
       // Scoped join: TaskGroup::wait() runs only this point's subtasks
       // on this thread (idle workers still steal them).  A helping
       // ThreadPool::wait() here would execute *other queued points*

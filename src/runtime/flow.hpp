@@ -184,7 +184,6 @@ class FlowExecutor {
  public:
   struct Options {
     std::size_t cache_capacity = 1024;  // 0 disables stage caching
-    bool fan_out_controllers = true;    // per-controller nested subtasks
     // Optional span tracer (borrowed, not owned).  Every stage of every
     // run records a span, annotated with its cache disposition; pool and
     // cache gauges are sampled as counter tracks.  Null = tracing off.

@@ -162,25 +162,6 @@ TEST(HazardFree, DominatedRequiredCubesDropOut) {
   EXPECT_EQ(res.products.size(), 1u);
 }
 
-TEST(HazardFree, ExactCoveringBeatsOrMatchesGreedy) {
-  // Three required cubes coverable by two products; exact must find <= greedy.
-  FunctionSpec f;
-  f.name = "cover";
-  f.vars = 3;
-  f.required.push_back(cube("11-"));
-  f.required.push_back(cube("1-1"));
-  f.required.push_back(cube("-11"));
-  f.off.push_back(cube("000"));
-  CoverOptions greedy;
-  CoverOptions exact;
-  exact.exact = true;
-  auto rg = minimize_hazard_free(f, greedy);
-  auto rx = minimize_hazard_free(f, exact);
-  ASSERT_TRUE(rg.feasible && rx.feasible);
-  EXPECT_LE(rx.products.size(), rg.products.size());
-  EXPECT_TRUE(verify_cover(f, rx.products).empty());
-}
-
 TEST(HazardFree, CandidatesAreValidAndCoverTheirSeeds) {
   FunctionSpec f;
   f.name = "max";

@@ -124,19 +124,5 @@ TEST(Logic, AllBenchmarksSynthesize) {
   }
 }
 
-TEST(Logic, ExactCoveringAvailable) {
-  Cdfg g = diffeq();
-  auto cs = optimized_controllers(g);
-  for (auto& c : cs) {
-    if (g.fu(c.fu).name != "MUL2") continue;
-    SynthesisOptions heuristic;
-    SynthesisOptions exact;
-    exact.cover.exact = true;
-    auto rh = synthesize_logic(c, heuristic);
-    auto rx = synthesize_logic(c, exact);
-    EXPECT_LE(rx.product_count(false), rh.product_count(false));
-  }
-}
-
 }  // namespace
 }  // namespace adc

@@ -63,13 +63,11 @@ TEST_F(LogicMemoTest, FingerprintIgnoresNameAndCubeOrder) {
   FunctionSpec a = feasible_spec("A");
   FunctionSpec b = feasible_spec("B");
   std::swap(b.required[0], b.required[1]);
-  EXPECT_EQ(spec_fingerprint(a, false, 18), spec_fingerprint(b, false, 18));
-  // Options are part of the key: an exact cover is not a greedy cover.
-  EXPECT_NE(spec_fingerprint(a, false, 18), spec_fingerprint(a, true, 18));
+  EXPECT_EQ(spec_fingerprint(a), spec_fingerprint(b));
   // Content changes change the key.
   FunctionSpec c = feasible_spec("A");
   c.off.push_back(cube("--00"));
-  EXPECT_NE(spec_fingerprint(a, false, 18), spec_fingerprint(c, false, 18));
+  EXPECT_NE(spec_fingerprint(a), spec_fingerprint(c));
 }
 
 TEST_F(LogicMemoTest, ReplayMatchesFreshRunAndReprefixesIssues) {
@@ -155,7 +153,7 @@ TEST_F(LogicMemoTest, DiskTierRoundTripAcrossMemoInstances) {
 TEST_F(LogicMemoTest, TornDiskEntryIsDetectedEvictedAndRecomputed) {
   DiskCache disk(dir_.string(), 0);
   FunctionSpec a = feasible_spec("A");
-  Fingerprint key = spec_fingerprint(a, false, 18);
+  Fingerprint key = spec_fingerprint(a);
   CoverResult fresh;
   {
     // Corrupt every fill's payload in flight: the ADCK envelope is written

@@ -154,6 +154,22 @@ TEST(PerfRecord, ValidatorCatchesBrokenDocuments) {
                           "repeats < 1"));
   EXPECT_TRUE(has_problem(swap("\"peak_rss_kb\": 2048", "\"peak_rss_kb\": -1"),
                           "peak_rss_kb missing or negative"));
+
+  // Members parse_bench_report requires: an empty policy and a stage row
+  // with only its name must not pass the validator either.
+  good = to_json(sample_report(), /*pretty=*/false);
+  std::string no_policy = swap(
+      R"("policy":{"warmup":2,"repeats":7,"trim_outliers":true,"quick":false})",
+      R"("policy":{})");
+  EXPECT_TRUE(has_problem(no_policy, "policy missing number 'warmup'"));
+  EXPECT_TRUE(has_problem(no_policy, "policy missing boolean 'quick'"));
+  std::string bare_stage = swap(
+      R"({"stage":"frontend","us":10,"cpu_us":9,"cached":false})",
+      R"({"stage":"frontend"})");
+  EXPECT_TRUE(has_problem(bare_stage, "sim.diffeq: stage missing number 'us'"));
+  EXPECT_TRUE(has_problem(bare_stage, "stage missing boolean 'cached'"));
+  EXPECT_THROW(parse_bench_report(no_policy), std::runtime_error);
+  EXPECT_THROW(parse_bench_report(bare_stage), std::runtime_error);
 }
 
 TEST(PerfRecord, ValidatorChecksStatOrdering) {
