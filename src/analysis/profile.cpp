@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <stdexcept>
 
 #include "report/json.hpp"
 #include "report/json_parse.hpp"
@@ -165,7 +164,7 @@ std::string to_json(const DseProfile& prof, bool pretty) {
   return w.str();
 }
 
-// --- parse -----------------------------------------------------------------
+// --- validate --------------------------------------------------------------
 
 namespace {
 
@@ -187,118 +186,7 @@ std::map<std::string, std::int64_t> parse_map(const JsonValue* o) {
   return m;
 }
 
-ChainRef parse_chain(const JsonValue& c) {
-  ChainRef r;
-  r.phase = str(c, "phase");
-  r.controller = str(c, "controller");
-  r.label = str(c, "label");
-  r.ticks = static_cast<std::int64_t>(num(c, "ticks"));
-  r.events = static_cast<std::size_t>(num(c, "events"));
-  return r;
-}
-
-PointProfile parse_point(const JsonValue& o) {
-  PointProfile p;
-  p.index = static_cast<std::size_t>(num(o, "index"));
-  p.benchmark = o.at("benchmark").string;
-  p.script = str(o, "script");
-  p.status = o.at("status").string;
-  if (const JsonValue* v = o.find("ok")) p.ok = v->boolean;
-  p.cycle_time = static_cast<std::int64_t>(num(o, "cycle_time"));
-  p.attributed = static_cast<std::int64_t>(num(o, "attributed"));
-  p.attributed_fraction = num(o, "attributed_fraction");
-  if (const JsonValue* area = o.find("area"); area && area->is_object()) {
-    if (const JsonValue* cs = area->find("controllers"); cs && cs->is_array())
-      for (const JsonValue& c : cs->array) {
-        AreaRow a;
-        a.name = str(c, "name");
-        a.products = static_cast<std::size_t>(num(c, "products"));
-        a.literals = static_cast<std::size_t>(num(c, "literals"));
-        a.state_bits = static_cast<std::size_t>(num(c, "state_bits"));
-        a.outputs = static_cast<std::size_t>(num(c, "outputs"));
-        a.transistors = static_cast<std::size_t>(num(c, "transistors"));
-        p.area.push_back(std::move(a));
-      }
-    p.channels = static_cast<std::size_t>(num(*area, "channels"));
-    p.area_transistors = static_cast<std::size_t>(num(*area, "total_transistors"));
-  }
-  if (const JsonValue* seg = o.find("segments"); seg && seg->is_object()) {
-    p.has_attribution = true;
-    p.by_phase = parse_map(seg->find("by_phase"));
-    p.by_controller = parse_map(seg->find("by_controller"));
-    p.by_channel = parse_map(seg->find("by_channel"));
-    p.by_controller_phase = parse_map(seg->find("by_controller_phase"));
-  }
-  if (const JsonValue* tc = o.find("top_chains"); tc && tc->is_array())
-    for (const JsonValue& c : tc->array) p.top_chains.push_back(parse_chain(c));
-  if (const JsonValue* d = o.find("dominant"); d && d->is_object())
-    p.dominant = parse_chain(*d);
-  if (const JsonValue* r = o.find("recipe"); r && r->is_array())
-    for (const JsonValue& s : r->array) p.recipe.push_back(s.string);
-  if (const JsonValue* d = o.find("decisions"); d && d->is_object())
-    for (const auto& [k, v] : d->object)
-      p.decisions[k] = static_cast<std::size_t>(v.number);
-  return p;
-}
-
 }  // namespace
-
-DseProfile parse_dse_profile(const JsonValue& doc) {
-  if (!doc.is_object()) throw std::runtime_error("dse profile: not an object");
-  if (str(doc, "kind") != kProfileKind)
-    throw std::runtime_error("dse profile: kind != " + std::string(kProfileKind));
-  if (static_cast<int>(num(doc, "version")) != kProfileVersion)
-    throw std::runtime_error("dse profile: unsupported version");
-  DseProfile prof;
-  prof.version = kProfileVersion;
-  prof.tool = str(doc, "tool");
-  const JsonValue* pts = doc.find("points");
-  if (!pts || !pts->is_array())
-    throw std::runtime_error("dse profile: missing points array");
-  for (const JsonValue& p : pts->array) prof.points.push_back(parse_point(p));
-  if (const JsonValue* grid = doc.find("grid"); grid && grid->is_object()) {
-    auto parse_rows = [&](const JsonValue* arr, std::vector<BottleneckRow>& out) {
-      if (!arr || !arr->is_array()) return;
-      for (const JsonValue& b : arr->array)
-        out.push_back({str(b, "name"), static_cast<std::int64_t>(num(b, "ticks")),
-                       static_cast<std::size_t>(num(b, "points"))});
-    };
-    if (const JsonValue* bn = grid->find("bottlenecks"); bn && bn->is_object()) {
-      parse_rows(bn->find("channels"), prof.grid.channels);
-      parse_rows(bn->find("controllers"), prof.grid.controllers);
-    }
-    if (const JsonValue* f = grid->find("frontier"); f && f->is_array())
-      for (const JsonValue& e : f->array)
-        prof.grid.frontier.push_back(
-            {static_cast<std::size_t>(num(e, "index")),
-             static_cast<std::size_t>(num(e, "area_transistors")),
-             static_cast<std::int64_t>(num(e, "cycle_time"))});
-    if (const JsonValue* d = grid->find("dominated"); d && d->is_array())
-      for (const JsonValue& e : d->array)
-        prof.grid.dominated.push_back(
-            {static_cast<std::size_t>(num(e, "index")),
-             static_cast<std::size_t>(num(e, "dominated_by"))});
-    if (const JsonValue* s = grid->find("suggestions"); s && s->is_array())
-      for (const JsonValue& e : s->array) {
-        Suggestion sg;
-        sg.rank = static_cast<std::size_t>(num(e, "rank"));
-        sg.kind = str(e, "kind");
-        sg.name = str(e, "name");
-        sg.ticks = static_cast<std::int64_t>(num(e, "ticks"));
-        if (const JsonValue* h = e.find("hints"); h && h->is_array())
-          for (const JsonValue& v : h->array) sg.hints.push_back(v.string);
-        sg.rationale = str(e, "rationale");
-        prof.grid.suggestions.push_back(std::move(sg));
-      }
-  }
-  return prof;
-}
-
-DseProfile parse_dse_profile(const std::string& text) {
-  return parse_dse_profile(parse_json(text));
-}
-
-// --- validate --------------------------------------------------------------
 
 std::vector<std::string> validate_dse_profile(const JsonValue& doc) {
   std::vector<std::string> problems;

@@ -21,8 +21,8 @@
 // (ROADMAP open item 3).
 //
 // Like the BENCH schema (perf/record.hpp), this header is deliberately
-// closed — emit (write_json), parse (parse_dse_profile) and validate
-// (validate_dse_profile, what `adc_obs_check --dse-profile` runs) live
+// closed — emit (write_json) and validate (validate_dse_profile, what
+// `adc_obs_check --dse-profile` runs, the document's one reader) live
 // together — and deliberately light: it depends only on the JSON
 // reader/writer so adc_obs_check stays light.  The builder that fills it
 // from FlowPoints lives in analysis/build.hpp on top of the runtime.
@@ -148,11 +148,6 @@ struct DseProfile {
 void write_json(JsonWriter& w, const PointProfile& p);
 void write_json(JsonWriter& w, const DseProfile& prof);
 std::string to_json(const DseProfile& prof, bool pretty = true);
-
-// Parses a profile document; throws std::runtime_error on schema
-// violations (wrong kind/version, missing members).
-DseProfile parse_dse_profile(const JsonValue& doc);
-DseProfile parse_dse_profile(const std::string& text);
 
 // Schema + internal-consistency check without throwing: every problem as
 // one line (empty = valid).  This is what `adc_obs_check --dse-profile`

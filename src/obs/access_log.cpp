@@ -161,10 +161,12 @@ std::vector<std::string> AccessLog::validate(const std::string& path,
       fail("rejected entry missing retry_after_ms");
     const JsonValue* ts = doc.find("ts_ms");
     if (ts && ts->is_number()) {
-      const auto t = static_cast<std::uint64_t>(ts->number);
-      if (t + 1000 < last_ts)
+      const std::optional<std::uint64_t> t = json_integer<std::uint64_t>(*ts);
+      if (!t)
+        fail("ts_ms is not a non-negative integer");
+      else if (*t + 1000 < last_ts)
         fail("timestamp went backwards by more than a second");
-      last_ts = std::max(last_ts, t);
+      last_ts = std::max(last_ts, t.value_or(0));
     } else if (ts) {
       fail("ts_ms is not a number");
     }

@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "report/json.hpp"
 
 namespace adc {
 namespace obs {
-
-void Gauge::set(double v) {
-  scaled_.store(true, std::memory_order_relaxed);
-  v_.store(static_cast<std::int64_t>(std::llround(v * 1000.0)),
-           std::memory_order_relaxed);
-}
-
-double Gauge::value_scaled() const {
-  const std::int64_t raw = v_.load(std::memory_order_relaxed);
-  return scaled() ? static_cast<double>(raw) / 1000.0
-                  : static_cast<double>(raw);
-}
 
 std::size_t histogram_bucket_index(std::uint64_t micros) {
   std::size_t i = 0;
@@ -137,12 +126,6 @@ Counter& Registry::counter(const std::string& name, const Labels& labels,
   return find_or_create_locked(counters_, name, labels, help);
 }
 
-Gauge& Registry::gauge(const std::string& name, const Labels& labels,
-                       const std::string& help) {
-  std::lock_guard<std::mutex> lk(mu_);
-  return find_or_create_locked(gauges_, name, labels, help);
-}
-
 SlidingHistogram& Registry::histogram(const std::string& name,
                                       const Labels& labels,
                                       const std::string& help) {
@@ -150,35 +133,53 @@ SlidingHistogram& Registry::histogram(const std::string& name,
   return find_or_create_locked(histograms_, name, labels, help);
 }
 
-void Registry::update_gauges(
-    const std::vector<std::pair<std::string, std::int64_t>>& values) {
+void Registry::gauge_source(std::vector<GaugeSeries> series,
+                            GaugeReader read) {
+  auto src = std::make_shared<GaugeSource>();
+  src->read = std::move(read);
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [name, v] : values)
-    find_or_create_locked(gauges_, name, {}, "").set(v);
+  for (GaugeSeries& g : series) {
+    std::string key = series_key(g.name, g.labels);
+    if (series_.count(key))
+      throw std::logic_error("obs: gauge series declared twice: " + g.name);
+    series_[key] = Series{g.name, g.labels};
+    if (!g.help.empty()) help_.emplace(g.name, std::move(g.help));
+    src->series.emplace_back(std::move(key),
+                             Series{std::move(g.name), std::move(g.labels)});
+  }
+  gauge_sources_.push_back(std::move(src));
 }
 
 Registry::Snapshot Registry::snapshot() const {
-  std::lock_guard<std::mutex> lk(mu_);
   Snapshot out;
-  out.help = help_;
-  for (const auto& [key, c] : counters_) {
-    CounterSample s;
-    static_cast<Series&>(s) = series_.at(key);
-    s.value = c->value();
-    out.counters.push_back(std::move(s));
+  std::vector<std::shared_ptr<const GaugeSource>> sources;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    out.help = help_;
+    for (const auto& [key, c] : counters_) {
+      CounterSample s;
+      static_cast<Series&>(s) = series_.at(key);
+      s.value = c->value();
+      out.counters.push_back(std::move(s));
+    }
+    for (const auto& [key, h] : histograms_) {
+      HistogramSample s;
+      static_cast<Series&>(s) = series_.at(key);
+      s.hist = h->snapshot();
+      out.histograms.push_back(std::move(s));
+    }
+    sources = gauge_sources_;
   }
-  for (const auto& [key, g] : gauges_) {
-    GaugeSample s;
-    static_cast<Series&>(s) = series_.at(key);
-    s.value = g->value_scaled();
-    out.gauges.push_back(std::move(s));
+  std::map<std::string, GaugeSample> gauges;  // series-key order
+  for (const auto& src : sources) {
+    const std::vector<double> values = src->read();
+    for (std::size_t i = 0; i < src->series.size(); ++i) {
+      GaugeSample& s = gauges[src->series[i].first];
+      static_cast<Series&>(s) = src->series[i].second;
+      s.value = i < values.size() ? values[i] : 0.0;
+    }
   }
-  for (const auto& [key, h] : histograms_) {
-    HistogramSample s;
-    static_cast<Series&>(s) = series_.at(key);
-    s.hist = h->snapshot();
-    out.histograms.push_back(std::move(s));
-  }
+  for (auto& [key, s] : gauges) out.gauges.push_back(std::move(s));
   return out;
 }
 

@@ -10,13 +10,13 @@
 // two instances stay separate so the executor's families never reach the
 // daemon's `/metrics` catalogue.
 //
-// Counters and gauges are single atomics (lock-free after the first
-// lookup).  SlidingHistogram keeps the *lifetime* cumulative buckets
-// Prometheus needs (monotone `_bucket` series) plus a small ring of time
-// slices for live windowed p50/p95/p99; both quantile kinds go through
-// histogram_quantile_micros.  `snapshot()` copies everything under one
-// mutex, so a scrape never sees torn totals, and `update_gauges()` commits
-// a gauge batch under that same mutex.
+// Counters are single atomics (lock-free after the first lookup).
+// SlidingHistogram keeps the *lifetime* cumulative buckets Prometheus
+// needs (monotone `_bucket` series) plus a small ring of time slices for
+// live windowed p50/p95/p99; both quantile kinds go through
+// histogram_quantile_micros.  Gauges hold nothing: a gauge source reads
+// the object that owns the numbers (a cache's stats, a queue's depth)
+// whenever the registry is read.
 //
 // Instruments are never unregistered; returned references live as long as
 // the registry, so hot paths capture them once and increment forever.
@@ -24,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,20 +50,14 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-class Gauge {
- public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void set(double v);
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  // Gauges that carry fractional values (EWMA milliseconds, hit ratios)
-  // store fixed-point: value() * 1e-3.
-  double value_scaled() const;
-  bool scaled() const { return scaled_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-  std::atomic<bool> scaled_{false};
+// One series of a gauge source: its identity and the family's help text.
+struct GaugeSeries {
+  std::string name;
+  Labels labels;
+  std::string help;
 };
+// Reads every series of one source, in declaration order.
+using GaugeReader = std::function<std::vector<double>()>;
 
 // Power-of-two-microsecond histogram: lifetime cumulative buckets for
 // Prometheus (bucket i counts durations < 2^(i+1) µs) plus a ring of
@@ -130,11 +125,16 @@ class Registry {
   // registration of a family and feeds Prometheus # HELP lines.
   Counter& counter(const std::string& name, const Labels& labels = {},
                    const std::string& help = "");
-  Gauge& gauge(const std::string& name, const Labels& labels = {},
-               const std::string& help = "");
   SlidingHistogram& histogram(const std::string& name,
                               const Labels& labels = {},
                               const std::string& help = "");
+  // Declares a gauge source: `series` (fixed for the registry's lifetime)
+  // and `read`, which returns their current values in the same order.
+  // Every snapshot() calls `read` once, outside the registry mutex, so one
+  // source's values come from one read of its owner (disk.hits and
+  // disk.misses from the same DiskCache::stats()) and `read` may take its
+  // owner's locks.  Throws std::logic_error on a series already declared.
+  void gauge_source(std::vector<GaugeSeries> series, GaugeReader read);
 
   struct Series {
     std::string name;
@@ -155,15 +155,10 @@ class Registry {
     std::vector<HistogramSample> histograms;
     std::map<std::string, std::string> help;  // family name -> help text
   };
-  // One mutex, one instant: no torn cross-metric invariants.
+  // Counters and histograms under one mutex, one instant: no torn
+  // cross-metric invariants.  Gauges are then read from their sources and
+  // merged into the same series-key order.
   Snapshot snapshot() const;
-
-  // Sets a batch of unlabeled gauges under the snapshot mutex, so a reader
-  // sees either all of the batch or none of it.  Separate Gauge::set()
-  // calls give no such guarantee: the serve `stats` op could otherwise
-  // see disk.hits from one sample next to disk.misses from the previous.
-  void update_gauges(
-      const std::vector<std::pair<std::string, std::int64_t>>& values);
 
   // {"counters": [...], "gauges": [...], "histograms": [...]}: each
   // series an object with its name (and labels), histograms with lifetime
@@ -183,9 +178,14 @@ class Registry {
                            const std::string& name, const Labels& labels,
                            const std::string& help);
 
+  struct GaugeSource {
+    std::vector<std::pair<std::string, Series>> series;  // (key, identity)
+    GaugeReader read;
+  };
+
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
+  std::vector<std::shared_ptr<const GaugeSource>> gauge_sources_;
   std::map<std::string, std::unique_ptr<SlidingHistogram>> histograms_;
   std::map<std::string, Series> series_;  // key -> decoded identity
   std::map<std::string, std::string> help_;

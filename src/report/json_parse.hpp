@@ -5,7 +5,10 @@
 // adc_obs_check CI validator.  Not a general-purpose parser — no streaming,
 // no \uXXXX surrogate pairs beyond the BMP, numbers land in a double.
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +38,21 @@ struct JsonValue {
   // find() that throws std::runtime_error when the member is missing.
   const JsonValue& at(const std::string& key) const;
 };
+
+// The value as an integer of type T, or nothing unless it is a number that
+// is finite, integral and representable in T.  Converting an out-of-range
+// double to an integer is undefined behaviour, so every integer taken from
+// untrusted JSON goes through here.
+template <class T>
+std::optional<T> json_integer(const JsonValue& v) {
+  // NaN fails the trunc test, infinities the range [min, 2^digits), whose
+  // bounds are exact doubles.
+  if (!v.is_number() || std::trunc(v.number) != v.number ||
+      v.number < static_cast<double>(std::numeric_limits<T>::min()) ||
+      v.number >= std::ldexp(1.0, std::numeric_limits<T>::digits))
+    return std::nullopt;
+  return static_cast<T>(v.number);
+}
 
 // Parses one JSON document; trailing non-whitespace is an error.  Throws
 // std::runtime_error with a byte offset on malformed input.

@@ -178,6 +178,16 @@ FlowExecutor::FlowExecutor(ThreadPool* pool, Options opts)
   logic_memo_ = std::make_unique<LogicMemo>(
       opts_.cache_capacity > 0 ? std::size_t{4096} : std::size_t{0});
   logic_memo_->attach_disk(disk_.get());
+  // The gauges read their sources on every snapshot; the set of series
+  // is fixed here (disk.* only with a persistent tier).
+  std::vector<obs::GaugeSeries> series;
+  for (const auto& [name, value] : gauge_values()) series.push_back({name, {}, ""});
+  metrics_.gauge_source(std::move(series), [this] {
+    std::vector<double> values;
+    for (const auto& [name, value] : gauge_values())
+      values.push_back(static_cast<double>(value));
+    return values;
+  });
 }
 
 std::shared_ptr<const Cdfg> FlowExecutor::frontend_stage(const FlowRequest& req,
@@ -342,49 +352,38 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
   return set;
 }
 
-void FlowExecutor::sample_gauges() {
+std::vector<std::pair<const char*, std::int64_t>> FlowExecutor::gauge_values()
+    const {
+  auto n = [](auto v) { return static_cast<std::int64_t>(v); };
   CacheStats cs = cache_.stats();
-  std::int64_t pending = pool_ ? static_cast<std::int64_t>(pool_->pending()) : 0;
-  // Collect first, publish once: update_gauges() commits the whole batch
-  // under the registry mutex, so a concurrent gauges() snapshot (the
-  // serve `stats`/`metrics` ops) sees one instant — never disk.hits from
-  // this sample next to disk.misses from the previous one.
-  std::vector<std::pair<std::string, std::int64_t>> batch;
-  batch.reserve(16);
-  batch.emplace_back("cache.entries", static_cast<std::int64_t>(cs.entries));
-  batch.emplace_back("cache.bytes", static_cast<std::int64_t>(cs.bytes));
-  batch.emplace_back("pool.pending", pending);
-  {
-    LogicMemo::Stats ms = logic_memo_->stats();
-    batch.emplace_back("logic.memo.hits", static_cast<std::int64_t>(ms.hits));
-    batch.emplace_back("logic.memo.disk_hits",
-                       static_cast<std::int64_t>(ms.disk_hits));
-    batch.emplace_back("logic.memo.misses", static_cast<std::int64_t>(ms.misses));
-    batch.emplace_back("logic.memo.fills", static_cast<std::int64_t>(ms.fills));
-    batch.emplace_back("logic.memo.fill_errors",
-                       static_cast<std::int64_t>(ms.fill_errors));
-    batch.emplace_back("logic.memo.disk_corrupt",
-                       static_cast<std::int64_t>(ms.disk_corrupt));
-    batch.emplace_back("logic.memo.entries",
-                       static_cast<std::int64_t>(ms.entries));
-  }
+  LogicMemo::Stats ms = logic_memo_->stats();
+  std::vector<std::pair<const char*, std::int64_t>> out = {
+      {"cache.entries", n(cs.entries)},
+      {"cache.bytes", n(cs.bytes)},
+      {"pool.pending", pool_ ? n(pool_->pending()) : 0},
+      {"logic.memo.hits", n(ms.hits)},
+      {"logic.memo.disk_hits", n(ms.disk_hits)},
+      {"logic.memo.misses", n(ms.misses)},
+      {"logic.memo.fills", n(ms.fills)},
+      {"logic.memo.fill_errors", n(ms.fill_errors)},
+      {"logic.memo.disk_corrupt", n(ms.disk_corrupt)},
+      {"logic.memo.entries", n(ms.entries)}};
   if (disk_) {
-    // The persistent tier's counters, mirrored into every --json metrics
-    // section (and the serve stats op) so cache sharing is observable.
+    // One stats() read: disk.hits and disk.misses from the same instant.
     DiskCache::Stats ds = disk_->stats();
-    batch.emplace_back("disk.hits", static_cast<std::int64_t>(ds.hits));
-    batch.emplace_back("disk.misses", static_cast<std::int64_t>(ds.misses));
-    batch.emplace_back("disk.stores", static_cast<std::int64_t>(ds.puts));
-    batch.emplace_back("disk.evictions", static_cast<std::int64_t>(ds.evictions));
-    batch.emplace_back("disk.corrupt", static_cast<std::int64_t>(ds.corrupt));
-    batch.emplace_back("disk.bytes", static_cast<std::int64_t>(disk_->total_bytes()));
+    out.insert(out.end(), {{"disk.hits", n(ds.hits)},
+                           {"disk.misses", n(ds.misses)},
+                           {"disk.stores", n(ds.puts)},
+                           {"disk.evictions", n(ds.evictions)},
+                           {"disk.corrupt", n(ds.corrupt)},
+                           {"disk.bytes", n(disk_->total_bytes())}});
   }
-  metrics_.update_gauges(batch);
-  if (opts_.tracer) {
-    // The gauge batch doubles as the counter-track sample; disk.* tracks
-    // only appear once a persistent tier is attached, matching the gauges.
-    for (const auto& [name, value] : batch) opts_.tracer->counter(name, value);
-  }
+  return out;
+}
+
+void FlowExecutor::trace_gauges() const {
+  if (!opts_.tracer) return;
+  for (const auto& [name, value] : gauge_values()) opts_.tracer->counter(name, value);
 }
 
 std::shared_ptr<const ProvenanceReport> FlowExecutor::build_provenance(
@@ -493,7 +492,7 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
             span.arg("status", to_string(warm.status));
             ADC_LOG_INFO("flow", "run served from disk cache",
                          {{"benchmark", p.benchmark}, {"script", p.script}});
-            sample_gauges();
+            trace_gauges();
             return warm;
           }
         } catch (const std::exception&) {
@@ -618,7 +617,7 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
     if (disk_->put(point_key.hex(), to_json(p)))
       metrics_.counter("flow.disk_stores").add();
   }
-  sample_gauges();
+  trace_gauges();
   ADC_LOG_INFO("flow", "run done",
                {{"benchmark", p.benchmark},
                 {"ok", p.ok},

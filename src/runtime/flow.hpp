@@ -186,7 +186,7 @@ class FlowExecutor {
     std::size_t cache_capacity = 1024;  // 0 disables stage caching
     // Optional span tracer (borrowed, not owned).  Every stage of every
     // run records a span, annotated with its cache disposition; pool and
-    // cache gauges are sampled as counter tracks.  Null = tracing off.
+    // cache gauges are written as counter tracks.  Null = tracing off.
     Tracer* tracer = nullptr;
     // Persistent disk tier: completed ok/deadlock points are stored as
     // checksummed JSON under this directory and replayed on the next run
@@ -237,9 +237,11 @@ class FlowExecutor {
                                                            const Cdfg& initial,
                                                            const GlobalSnapshot& snap,
                                                            const ControllerSet& set);
-  // Samples pool/cache occupancy into the metrics gauges (and, when a
-  // tracer is attached, its counter tracks).
-  void sample_gauges();
+  // The current stage-cache, pool, cover-memo and disk-tier figures: the
+  // metrics gauges' source, and the counter tracks trace_gauges() writes
+  // at the end of every run when a tracer is attached.
+  std::vector<std::pair<const char*, std::int64_t>> gauge_values() const;
+  void trace_gauges() const;
 
   ThreadPool* pool_;
   Options opts_;

@@ -120,9 +120,10 @@ std::uint64_t ServeClient::submit(const std::string& payload, int max_attempts) 
     JsonValue reply = request(payload);
     if (const JsonValue* ok = reply.find("ok"); ok && ok->is_bool() && ok->boolean) {
       const JsonValue* id = reply.find("id");
-      if (!id || !id->is_number())
-        throw std::runtime_error("serve: submit reply missing id");
-      return static_cast<std::uint64_t>(id->number);
+      std::optional<std::uint64_t> n =
+          id ? json_integer<std::uint64_t>(*id) : std::nullopt;
+      if (!n) throw std::runtime_error("serve: submit reply missing id");
+      return *n;
     }
     const JsonValue* code = reply.find("code");
     if (!code || !code->is_string() || code->string != "busy") {
@@ -132,8 +133,8 @@ std::uint64_t ServeClient::submit(const std::string& payload, int max_attempts) 
                                                         : std::string("?")));
     }
     std::uint64_t pause_ms = 50;
-    if (const JsonValue* ra = reply.find("retry_after_ms"); ra && ra->is_number())
-      pause_ms = static_cast<std::uint64_t>(ra->number);
+    if (const JsonValue* ra = reply.find("retry_after_ms"))
+      pause_ms = json_integer<std::uint64_t>(*ra).value_or(pause_ms);
     if (pause_ms > 250) pause_ms = 250;  // bounded so saturation tests finish
     std::this_thread::sleep_for(std::chrono::milliseconds(pause_ms));
   }

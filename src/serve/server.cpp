@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "analysis/build.hpp"
@@ -62,6 +63,42 @@ std::uint64_t mix64(std::uint64_t x) {
 
 const char* kClassNames[kPriorityClasses] = {"high", "normal", "low"};
 
+// The request's job "id", or nothing when it is missing or not one.
+std::optional<std::uint64_t> job_id(const JsonValue& doc) {
+  const JsonValue* v = doc.find("id");
+  return v ? json_integer<std::uint64_t>(*v) : std::nullopt;
+}
+
+// Sets *out from the numeric member `key`, if there is one; false when no
+// T holds that number (a client error, never a silent conversion).
+template <class T>
+bool read_integer(const JsonValue& doc, const char* key, T* out) {
+  const JsonValue* v = doc.find(key);
+  if (!v || !v->is_number()) return true;
+  const std::optional<T> n = json_integer<T>(*v);
+  if (n) *out = *n;
+  return n.has_value();
+}
+
+// The `jobs` object of the stats and metrics replies.
+void write_jobs(JsonWriter& w, const ServerStats& s) {
+  w.key("jobs");
+  w.begin_object();
+  w.kv("submitted", s.submitted);
+  w.kv("completed", s.completed);
+  w.kv("cancelled", s.cancelled);
+  w.kv("rejected", s.rejected);
+  w.kv("queued", static_cast<std::uint64_t>(s.queued));
+  w.kv("running", static_cast<std::uint64_t>(s.running));
+  w.end_object();
+}
+
+// One gauge source's reading: its values, in declaration order.
+template <class... T>
+std::vector<double> gauge_values(T... v) {
+  return {static_cast<double>(v)...};
+}
+
 const char* job_state_name(int s) {
   switch (s) {
     case 0: return "queued";
@@ -79,6 +116,7 @@ ServeServer::ServeServer(ServerOptions opts)
   pool_ = std::make_unique<ThreadPool>(opts_.pool_threads);
   exec_ = std::make_unique<FlowExecutor>(pool_.get(), opts_.flow);
   if (opts_.workers == 0) opts_.workers = 1;
+  register_instruments();
 }
 
 ServeServer::~ServeServer() {
@@ -167,7 +205,6 @@ void ServeServer::start() {
   }
 
   start_micros_ = steady_micros();
-  register_instruments();
   if (!opts_.access_log.empty())
     access_log_ = std::make_unique<obs::AccessLog>(opts_.access_log,
                                                    opts_.access_log_max_bytes);
@@ -186,7 +223,6 @@ void ServeServer::start() {
   }
   started_ = true;
   accepting_ = true;
-  sampler_thread_ = std::thread([this] { sampler_loop(); });
   accept_thread_ = std::thread([this] { accept_loop(); });
   for (std::size_t i = 0; i < opts_.workers; ++i)
     worker_threads_.emplace_back([this] { worker_loop(); });
@@ -215,126 +251,98 @@ void ServeServer::register_instruments() {
         "serve.queue.wait_us", cls, "submit-to-dequeue wait per priority class");
     service_time_[i] = &registry_.histogram(
         "serve.service_us", cls, "dequeue-to-done service time per priority class");
-    registry_.gauge("serve.queue.depth", cls, "jobs waiting, per priority class");
   }
   cancellations_ =
       &registry_.counter("serve.cancellations", {}, "jobs cancelled while queued");
   bad_requests_ = &registry_.counter(
       "serve.bad_requests", {}, "malformed frames, bad JSON and unknown ops");
-  // Sampled gauges; registered up front so the exported family catalogue
-  // never depends on which code paths have run yet.
-  registry_.gauge("serve.running", {}, "jobs executing right now");
-  registry_.gauge("serve.connections", {}, "client connections accepted since start");
-  registry_.gauge("serve.retry_after_ms", {},
-                  "backpressure hint currently sent with busy replies");
-  registry_.gauge("serve.service_ewma_ms", {},
-                  "exponentially smoothed per-job wall time feeding that hint");
-  registry_.gauge("serve.cache.entries", {}, "stage-cache entries resident");
-  registry_.gauge("serve.cache.bytes", {}, "stage-cache bytes resident");
-  registry_.gauge("serve.cache.hit_ratio", {},
-                  "stage-cache hits+joins over lookups, lifetime");
-  registry_.gauge("serve.disk.hits", {}, "disk-tier replays served");
-  registry_.gauge("serve.disk.misses", {}, "disk-tier probes that missed");
-  registry_.gauge("serve.disk.stores", {}, "points persisted to the disk tier");
-  registry_.gauge("serve.disk.corrupt", {}, "disk-tier entries failing checksum");
-  registry_.gauge("serve.disk.bytes", {}, "disk-tier bytes resident");
-  registry_.gauge("serve.pool.pending", {}, "pool subtasks queued");
-  registry_.gauge("serve.pool.tasks_executed", {}, "pool subtasks completed");
-  registry_.gauge("serve.flow.timeouts", {}, "jobs unwound by a deadline watchdog");
-  registry_.gauge("serve.flow.faults", {}, "jobs stopped by an injected fault");
-  registry_.gauge("serve.flow.deadlocks", {}, "jobs whose event simulation stalled");
+
+  // Gauge sources: each reads its owner when the registry is read, so a
+  // scrape sees the current value.  Lock order mu_ -> queue, as in
+  // retry_after_ms_locked().
+  registry_.gauge_source(
+      {{"serve.queue.depth", {{"class", "high"}}, "jobs waiting, per priority class"},
+       {"serve.queue.depth", {{"class", "normal"}}, ""},
+       {"serve.queue.depth", {{"class", "low"}}, ""},
+       {"serve.running", {}, "jobs executing right now"},
+       {"serve.connections", {}, "client connections accepted since start"},
+       {"serve.retry_after_ms", {},
+        "backpressure hint currently sent with busy replies"},
+       {"serve.service_ewma_ms", {},
+        "exponentially smoothed per-job wall time feeding that hint"}},
+      [this] {
+        std::lock_guard<std::mutex> lock(mu_);
+        return gauge_values(queue_.depth(Priority::kHigh),
+                            queue_.depth(Priority::kNormal),
+                            queue_.depth(Priority::kLow), running_, connections_,
+                            retry_after_ms_locked(), service_ewma_ms_);
+      });
+  registry_.gauge_source(
+      {{"serve.cache.entries", {}, "stage-cache entries resident"},
+       {"serve.cache.bytes", {}, "stage-cache bytes resident"},
+       {"serve.cache.hit_ratio", {}, "stage-cache hits+joins over lookups, lifetime"}},
+      [this] {
+        CacheStats cs = exec_->cache().stats();
+        return gauge_values(cs.entries, cs.bytes, cs.hit_rate());
+      });
+  // Zeros without a persistent tier, so the catalogue never depends on it.
+  registry_.gauge_source(
+      {{"serve.disk.hits", {}, "disk-tier replays served"},
+       {"serve.disk.misses", {}, "disk-tier probes that missed"},
+       {"serve.disk.stores", {}, "points persisted to the disk tier"},
+       {"serve.disk.corrupt", {}, "disk-tier entries failing checksum"},
+       {"serve.disk.bytes", {}, "disk-tier bytes resident"}},
+      [this] {
+        const DiskCache* dc = exec_->disk_cache();
+        if (!dc) return std::vector<double>(5, 0.0);
+        DiskCache::Stats ds = dc->stats();
+        return gauge_values(ds.hits, ds.misses, ds.puts, ds.corrupt,
+                            dc->total_bytes());
+      });
+  const obs::Counter* flow[] = {&exec_->metrics().counter("flow.timeouts"),
+                                &exec_->metrics().counter("flow.faults"),
+                                &exec_->metrics().counter("flow.deadlocks")};
+  registry_.gauge_source(
+      {{"serve.pool.pending", {}, "pool subtasks queued"},
+       {"serve.pool.tasks_executed", {}, "pool subtasks completed"},
+       {"serve.flow.timeouts", {}, "jobs unwound by a deadline watchdog"},
+       {"serve.flow.faults", {}, "jobs stopped by an injected fault"},
+       {"serve.flow.deadlocks", {}, "jobs whose event simulation stalled"}},
+      [this, flow] {
+        return gauge_values(pool_->pending(), pool_->tasks_executed(),
+                            flow[0]->value(), flow[1]->value(), flow[2]->value());
+      });
   // The executor's content-addressed cover memo (logic/memo.hpp): repeated
   // function specifications replay their minimized cover instead of
   // re-running candidate generation + covering.
-  registry_.gauge("logic.memo.hits", {}, "cover-memo replays from memory");
-  registry_.gauge("logic.memo.disk_hits", {}, "cover-memo replays from the disk tier");
-  registry_.gauge("logic.memo.misses", {}, "cover-memo lookups that ran the minimizer");
-  registry_.gauge("logic.memo.fills", {}, "covers computed and stored in the memo");
-  registry_.gauge("logic.memo.fill_errors", {},
-                  "memo fills abandoned (injected fault or bad payload)");
-  registry_.gauge("logic.memo.disk_corrupt", {},
-                  "torn disk memo entries detected and evicted");
-  registry_.gauge("logic.memo.entries", {}, "memo entries resident in memory");
+  registry_.gauge_source(
+      {{"logic.memo.hits", {}, "cover-memo replays from memory"},
+       {"logic.memo.disk_hits", {}, "cover-memo replays from the disk tier"},
+       {"logic.memo.misses", {}, "cover-memo lookups that ran the minimizer"},
+       {"logic.memo.fills", {}, "covers computed and stored in the memo"},
+       {"logic.memo.fill_errors", {},
+        "memo fills abandoned (injected fault or bad payload)"},
+       {"logic.memo.disk_corrupt", {}, "torn disk memo entries detected and evicted"},
+       {"logic.memo.entries", {}, "memo entries resident in memory"}},
+      [this] {
+        LogicMemo::Stats ms = exec_->logic_memo().stats();
+        return gauge_values(ms.hits, ms.disk_hits, ms.misses, ms.fills,
+                            ms.fill_errors, ms.disk_corrupt, ms.entries);
+      });
   // Design-space explainability (analysis/grid.hpp): the live Pareto
   // frontier over (control area x cycle time) across every simulated ok
   // job this daemon has completed.
-  registry_.gauge("analysis.points", {}, "simulated ok jobs folded into the frontier");
-  registry_.gauge("analysis.frontier_size", {}, "non-dominated (area, cycle) points");
-  registry_.gauge("analysis.dominated", {}, "jobs dominated by a frontier member");
-  registry_.gauge("analysis.best_cycle_time", {}, "fastest simulated cycle time seen");
-  registry_.gauge("analysis.best_area_transistors", {},
-                  "smallest control-area estimate seen");
-}
-
-void ServeServer::sample_observability() {
-  ServerStats s = stats();
-  double ewma_ms, retry_ms;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ewma_ms = service_ewma_ms_;
-    retry_ms = static_cast<double>(retry_after_ms_locked());
-  }
-  for (std::size_t i = 0; i < kPriorityClasses; ++i)
-    registry_.gauge("serve.queue.depth", {{"class", kClassNames[i]}})
-        .set(static_cast<std::int64_t>(queue_.depth(static_cast<Priority>(i))));
-  registry_.gauge("serve.running").set(static_cast<std::int64_t>(s.running));
-  registry_.gauge("serve.connections")
-      .set(static_cast<std::int64_t>(s.connections));
-  registry_.gauge("serve.retry_after_ms").set(retry_ms);
-  registry_.gauge("serve.service_ewma_ms").set(ewma_ms);
-  // Each source hands out an internally consistent snapshot (satellite 1);
-  // the gauges here are mirrors, refreshed as one pass.
-  CacheStats cs = exec_->cache().stats();
-  registry_.gauge("serve.cache.entries").set(static_cast<std::int64_t>(cs.entries));
-  registry_.gauge("serve.cache.bytes").set(static_cast<std::int64_t>(cs.bytes));
-  registry_.gauge("serve.cache.hit_ratio").set(cs.hit_rate());
-  if (const DiskCache* dc = exec_->disk_cache()) {
-    DiskCache::Stats ds = dc->stats();
-    registry_.gauge("serve.disk.hits").set(static_cast<std::int64_t>(ds.hits));
-    registry_.gauge("serve.disk.misses").set(static_cast<std::int64_t>(ds.misses));
-    registry_.gauge("serve.disk.stores").set(static_cast<std::int64_t>(ds.puts));
-    registry_.gauge("serve.disk.corrupt").set(static_cast<std::int64_t>(ds.corrupt));
-    registry_.gauge("serve.disk.bytes")
-        .set(static_cast<std::int64_t>(dc->total_bytes()));
-  }
-  registry_.gauge("serve.pool.pending")
-      .set(static_cast<std::int64_t>(pool_->pending()));
-  registry_.gauge("serve.pool.tasks_executed")
-      .set(static_cast<std::int64_t>(pool_->tasks_executed()));
-  for (const char* name : {"flow.timeouts", "flow.faults", "flow.deadlocks"})
-    registry_.gauge(std::string("serve.") + name)
-        .set(static_cast<std::int64_t>(exec_->metrics().counter(name).value()));
-  LogicMemo::Stats ms = exec_->logic_memo().stats();
-  registry_.gauge("logic.memo.hits").set(static_cast<std::int64_t>(ms.hits));
-  registry_.gauge("logic.memo.disk_hits")
-      .set(static_cast<std::int64_t>(ms.disk_hits));
-  registry_.gauge("logic.memo.misses").set(static_cast<std::int64_t>(ms.misses));
-  registry_.gauge("logic.memo.fills").set(static_cast<std::int64_t>(ms.fills));
-  registry_.gauge("logic.memo.fill_errors")
-      .set(static_cast<std::int64_t>(ms.fill_errors));
-  registry_.gauge("logic.memo.disk_corrupt")
-      .set(static_cast<std::int64_t>(ms.disk_corrupt));
-  registry_.gauge("logic.memo.entries").set(static_cast<std::int64_t>(ms.entries));
-  analysis::FrontierTracker::Snapshot fs = frontier_.snapshot();
-  registry_.gauge("analysis.points").set(static_cast<std::int64_t>(fs.points));
-  registry_.gauge("analysis.frontier_size")
-      .set(static_cast<std::int64_t>(fs.frontier_size));
-  registry_.gauge("analysis.dominated")
-      .set(static_cast<std::int64_t>(fs.dominated));
-  registry_.gauge("analysis.best_cycle_time").set(fs.best_cycle_time);
-  registry_.gauge("analysis.best_area_transistors")
-      .set(static_cast<std::int64_t>(fs.best_area_transistors));
-}
-
-void ServeServer::sampler_loop() {
-  std::unique_lock<std::mutex> lk(sampler_mu_);
-  while (!sampler_stop_) {
-    lk.unlock();
-    sample_observability();
-    lk.lock();
-    sampler_cv_.wait_for(lk, std::chrono::milliseconds(500),
-                         [this] { return sampler_stop_; });
-  }
+  registry_.gauge_source(
+      {{"analysis.points", {}, "simulated ok jobs folded into the frontier"},
+       {"analysis.frontier_size", {}, "non-dominated (area, cycle) points"},
+       {"analysis.dominated", {}, "jobs dominated by a frontier member"},
+       {"analysis.best_cycle_time", {}, "fastest simulated cycle time seen"},
+       {"analysis.best_area_transistors", {}, "smallest control-area estimate seen"}},
+      [this] {
+        analysis::FrontierTracker::Snapshot fs = frontier_.snapshot();
+        return gauge_values(fs.points, fs.frontier_size, fs.dominated,
+                            fs.best_cycle_time, fs.best_area_transistors);
+      });
 }
 
 void ServeServer::accept_loop() {
@@ -369,7 +377,7 @@ void ServeServer::accept_loop() {
       conn_fds_.insert(fd);
       conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
       std::lock_guard<std::mutex> slock(mu_);
-      ++stats_.connections;
+      ++connections_;
     }
   }
   // Close the listeners right away: a client sitting in the listen
@@ -407,8 +415,7 @@ void ServeServer::handle_connection(int fd) {
     } catch (const FrameError& e) {
       // Unrecoverable stream defect: reply best-effort, then drop the
       // connection — there is no frame boundary left to resync on.
-      std::lock_guard<std::mutex> lock(mu_);
-      count_bad_request_locked();
+      bad_requests_->add();
       send_all(fd, encode_frame(error_reply("", "too_large", e.what()),
                                 opts_.max_frame_bytes));
       close_conn = true;
@@ -425,15 +432,13 @@ std::string ServeServer::handle_request(const std::string& payload,
   try {
     doc = parse_json(payload);
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(mu_);
-    count_bad_request_locked();
+    bad_requests_->add();
     return error_reply("", "bad_request",
                        std::string("malformed JSON: ") + e.what());
   }
   const JsonValue* opv = doc.find("op");
   if (!doc.is_object() || !opv || !opv->is_string()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    count_bad_request_locked();
+    bad_requests_->add();
     return error_reply("", "bad_request",
                        "request must be an object with a string \"op\"");
   }
@@ -458,14 +463,10 @@ std::string ServeServer::handle_request(const std::string& payload,
       return reply;
     }
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(mu_);
-    count_bad_request_locked();
+    bad_requests_->add();
     return error_reply(op, "bad_request", e.what());
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    count_bad_request_locked();
-  }
+  bad_requests_->add();
   return error_reply(op, "bad_request", "unknown op '" + op + "'");
 }
 
@@ -475,7 +476,7 @@ std::uint64_t ServeServer::retry_after_ms_locked() const {
   // the worker lanes.  Clamped so a cold server still suggests a sane
   // pause and a deep backlog cannot push clients out forever.
   double per_job = service_ewma_ms_ > 0.0 ? service_ewma_ms_ : 100.0;
-  double backlog = static_cast<double>(queue_.depth() + stats_.running + 1);
+  double backlog = static_cast<double>(queue_.depth() + running_ + 1);
   double ms = per_job * backlog / static_cast<double>(opts_.workers);
   if (ms < 25.0) ms = 25.0;
   if (ms > 10000.0) ms = 10000.0;
@@ -516,16 +517,21 @@ std::string ServeServer::op_submit(const JsonValue& doc) {
                        std::string("bad script: ") + e.what());
   }
   if (const JsonValue* init = doc.find("init"); init && init->is_object())
-    for (const auto& [k, v] : init->object)
-      req.init[k] = static_cast<std::int64_t>(v.number);
-  if (const JsonValue* v = doc.find("seed"); v && v->is_number())
-    req.sim.seed = static_cast<std::uint64_t>(v->number);
+    for (const auto& [k, v] : init->object) {
+      std::optional<std::int64_t> n = json_integer<std::int64_t>(v);
+      if (!n)
+        return error_reply("submit", "bad_request",
+                           "init value '" + k + "' is not a 64-bit integer");
+      req.init[k] = *n;
+    }
   if (const JsonValue* v = doc.find("simulate"); v && v->is_bool())
     req.simulate = v->boolean;
   req.stage_deadline_ms = opts_.stage_deadline_ms;
   req.deadline_ms = opts_.default_deadline_ms;
-  if (const JsonValue* v = doc.find("deadline_ms"); v && v->is_number())
-    req.deadline_ms = static_cast<std::uint64_t>(v->number);
+  if (!read_integer(doc, "seed", &req.sim.seed) ||
+      !read_integer(doc, "deadline_ms", &req.deadline_ms))
+    return error_reply("submit", "bad_request",
+                       "seed and deadline_ms must be non-negative integers");
   if (opts_.max_deadline_ms > 0 &&
       (req.deadline_ms == 0 || req.deadline_ms > opts_.max_deadline_ms))
     req.deadline_ms = opts_.max_deadline_ms;
@@ -567,10 +573,9 @@ std::string ServeServer::op_submit(const JsonValue& doc) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       jobs_.erase(id);
-      ++stats_.rejected;
+      (closed ? rejections_closed_ : rejections_busy_)[cls]->add();
       retry = retry_after_ms_locked();
     }
-    (closed ? rejections_closed_ : rejections_busy_)[cls]->add();
     if (access_log_) {
       obs::AccessLogEntry e;
       e.event = "rejected";  // schema: no id/trace — the client never got one
@@ -598,10 +603,6 @@ std::string ServeServer::op_submit(const JsonValue& doc) {
     w.end_object();
     return w.str();
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.submitted;
-  }
   submissions_[cls]->add();
   ADC_LOG_DEBUG("serve", "job accepted",
                 {{"id", id},
@@ -619,10 +620,10 @@ std::string ServeServer::op_submit(const JsonValue& doc) {
 }
 
 std::string ServeServer::op_status(const JsonValue& doc) {
-  const JsonValue* idv = doc.find("id");
-  if (!idv || !idv->is_number())
-    return error_reply("status", "bad_request", "status needs a numeric \"id\"");
-  std::uint64_t id = static_cast<std::uint64_t>(idv->number);
+  const std::optional<std::uint64_t> idv = job_id(doc);
+  if (!idv)
+    return error_reply("status", "bad_request", "status needs an integer \"id\"");
+  const std::uint64_t id = *idv;
   std::shared_ptr<Job> job;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -655,15 +656,16 @@ std::string ServeServer::op_status(const JsonValue& doc) {
 }
 
 std::string ServeServer::op_result(const JsonValue& doc) {
-  const JsonValue* idv = doc.find("id");
-  if (!idv || !idv->is_number())
-    return error_reply("result", "bad_request", "result needs a numeric \"id\"");
-  std::uint64_t id = static_cast<std::uint64_t>(idv->number);
+  const std::optional<std::uint64_t> idv = job_id(doc);
+  if (!idv)
+    return error_reply("result", "bad_request", "result needs an integer \"id\"");
+  const std::uint64_t id = *idv;
   bool block = true;
   if (const JsonValue* v = doc.find("wait"); v && v->is_bool()) block = v->boolean;
   std::uint64_t timeout_ms = 0;
-  if (const JsonValue* v = doc.find("timeout_ms"); v && v->is_number())
-    timeout_ms = static_cast<std::uint64_t>(v->number);
+  if (!read_integer(doc, "timeout_ms", &timeout_ms))
+    return error_reply("result", "bad_request",
+                       "timeout_ms must be a non-negative integer");
 
   std::shared_ptr<Job> job;
   {
@@ -717,10 +719,10 @@ std::string ServeServer::op_result(const JsonValue& doc) {
 }
 
 std::string ServeServer::op_cancel(const JsonValue& doc) {
-  const JsonValue* idv = doc.find("id");
-  if (!idv || !idv->is_number())
-    return error_reply("cancel", "bad_request", "cancel needs a numeric \"id\"");
-  std::uint64_t id = static_cast<std::uint64_t>(idv->number);
+  const std::optional<std::uint64_t> idv = job_id(doc);
+  if (!idv)
+    return error_reply("cancel", "bad_request", "cancel needs an integer \"id\"");
+  const std::uint64_t id = *idv;
   std::shared_ptr<Job> job;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -743,7 +745,7 @@ std::string ServeServer::op_cancel(const JsonValue& doc) {
         job->result.status = FlowStatus::kCancelled;
         job->result.error = "cancelled by client";
         job->wall_ms = (steady_micros() - job->submit_micros) / 1000;
-        ++stats_.cancelled;
+        cancellations_->add();
         cancelled = true;
         job_cv_.notify_all();
       }
@@ -770,16 +772,7 @@ std::string ServeServer::op_stats() {
   begin_ok_reply(w, "stats");
   w.kv("state", shutdown_requested_ ? "draining" : "serving");
   w.kv("uptime_ms", (steady_micros() - start_micros_) / 1000);
-  ServerStats s = stats();
-  w.key("jobs");
-  w.begin_object();
-  w.kv("submitted", s.submitted);
-  w.kv("completed", s.completed);
-  w.kv("cancelled", s.cancelled);
-  w.kv("rejected", s.rejected);
-  w.kv("queued", static_cast<std::uint64_t>(s.queued));
-  w.kv("running", static_cast<std::uint64_t>(s.running));
-  w.end_object();
+  write_jobs(w, stats());
   JobQueue::Stats qs = queue_.stats();
   w.key("queue");
   w.begin_object();
@@ -826,13 +819,7 @@ std::string ServeServer::op_stats() {
   return w.str();
 }
 
-void ServeServer::count_bad_request_locked() {
-  ++stats_.bad_requests;
-  if (bad_requests_) bad_requests_->add();
-}
-
 void ServeServer::observe_cancelled(const std::shared_ptr<Job>& job) {
-  if (cancellations_) cancellations_->add();
   if (job->trace) {
     job->trace->end(job->queue_span, {{"outcome", "cancelled"}});
     job->trace->end(job->root_span, {{"status", "cancelled"}});
@@ -852,24 +839,12 @@ void ServeServer::observe_cancelled(const std::shared_ptr<Job>& job) {
 }
 
 std::string ServeServer::op_metrics() {
-  // Refresh the sampled gauges first so a poller (adc_top) reads "now",
-  // not wherever the background sampler's last tick left them.
-  sample_observability();
-  ServerStats s = stats();
   JsonWriter w;
   begin_ok_reply(w, "metrics");
   w.kv("state", shutdown_requested_ ? "draining" : "serving");
   w.kv("uptime_ms", (steady_micros() - start_micros_) / 1000);
   w.kv("workers", static_cast<std::uint64_t>(opts_.workers));
-  w.key("jobs");
-  w.begin_object();
-  w.kv("submitted", s.submitted);
-  w.kv("completed", s.completed);
-  w.kv("cancelled", s.cancelled);
-  w.kv("rejected", s.rejected);
-  w.kv("queued", static_cast<std::uint64_t>(s.queued));
-  w.kv("running", static_cast<std::uint64_t>(s.running));
-  w.end_object();
+  write_jobs(w, stats());
   w.key("obs");
   registry_.write_json(w);
   w.end_object();
@@ -877,10 +852,10 @@ std::string ServeServer::op_metrics() {
 }
 
 std::string ServeServer::op_trace(const JsonValue& doc) {
-  const JsonValue* idv = doc.find("id");
-  if (!idv || !idv->is_number())
-    return error_reply("trace", "bad_request", "trace needs a numeric \"id\"");
-  std::uint64_t id = static_cast<std::uint64_t>(idv->number);
+  const std::optional<std::uint64_t> idv = job_id(doc);
+  if (!idv)
+    return error_reply("trace", "bad_request", "trace needs an integer \"id\"");
+  const std::uint64_t id = *idv;
   std::shared_ptr<Job> job;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -936,7 +911,7 @@ void ServeServer::request_shutdown(bool drain) {
       job.result.status = FlowStatus::kCancelled;
       job.result.error = "cancelled by server shutdown";
       job.wall_ms = (steady_micros() - job.submit_micros) / 1000;
-      ++stats_.cancelled;
+      cancellations_->add();
       cancelled.push_back(it->second);
     }
     {
@@ -967,7 +942,7 @@ void ServeServer::worker_loop() {
       if (job->state != JobState::kQueued) continue;  // raced with a cancel
       job->state = JobState::kRunning;
       job->dequeue_micros = steady_micros();
-      ++stats_.running;
+      ++running_;
     }
     const std::size_t cls = static_cast<std::size_t>(job->priority);
     const std::uint64_t wait_us = job->dequeue_micros - job->submit_micros;
@@ -981,7 +956,6 @@ void ServeServer::worker_loop() {
       frontier_.add(analysis::point_area_transistors(p), p.latency);
     const std::uint64_t service_us = steady_micros() - job->dequeue_micros;
     service_time_[cls]->record_micros(service_us);
-    completions_[cls]->add();
     job->trace->end(job->root_span,
                     {{"status", to_string(p.status)},
                      {"ok", p.ok ? "true" : "false"},
@@ -993,8 +967,8 @@ void ServeServer::worker_loop() {
       job->result = std::move(p);
       job->state = JobState::kDone;
       job->wall_ms = (steady_micros() - job->submit_micros) / 1000;
-      --stats_.running;
-      ++stats_.completed;
+      --running_;
+      completions_[cls]->add();
       // Service-time EWMA feeding the busy replies' retry-after hint.
       double w = static_cast<double>(job->wall_ms);
       service_ewma_ms_ =
@@ -1033,8 +1007,7 @@ int ServeServer::wait() {
   worker_threads_.clear();
   finish_shutdown();
   stopped_ = true;
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_.cancelled > 0 && !drain_ ? 5 : 0;
+  return cancellations_->value() > 0 && !drain_ ? 5 : 0;
 }
 
 void ServeServer::finish_shutdown() {
@@ -1061,16 +1034,8 @@ void ServeServer::finish_shutdown() {
     ::close(tcp_fd_);
     tcp_fd_ = -1;
   }
-  // Tear the observability surfaces down last: one final gauge sample so
-  // a post-mortem scrape of the registry reflects the end state, then the
-  // sampler, the /metrics listener and the access log.
-  {
-    std::lock_guard<std::mutex> lk(sampler_mu_);
-    sampler_stop_ = true;
-  }
-  sampler_cv_.notify_all();
-  if (sampler_thread_.joinable()) sampler_thread_.join();
-  sample_observability();
+  // Tear the observability surfaces down last: the /metrics listener,
+  // then the access log.
   metrics_http_.stop();
   if (access_log_) access_log_->flush();
   if (owns_unix_path_) ::unlink(opts_.unix_socket.c_str());
@@ -1080,8 +1045,19 @@ void ServeServer::finish_shutdown() {
 }
 
 ServerStats ServeServer::stats() const {
+  // The job tallies are the registry counters; only the instantaneous
+  // figures are kept by hand.
+  ServerStats s;
+  for (std::size_t i = 0; i < kPriorityClasses; ++i) {
+    s.submitted += submissions_[i]->value();
+    s.completed += completions_[i]->value();
+    s.rejected += rejections_busy_[i]->value() + rejections_closed_[i]->value();
+  }
+  s.cancelled = cancellations_->value();
+  s.bad_requests = bad_requests_->value();
   std::lock_guard<std::mutex> lock(mu_);
-  ServerStats s = stats_;
+  s.connections = connections_;
+  s.running = running_;
   s.queued = queue_.depth();
   return s;
 }

@@ -190,17 +190,14 @@ class ServeServer {
   void finish_shutdown();
 
   // --- observability helpers ----------------------------------------------
-  // Resolves every instrument the hot paths touch and pre-registers the
-  // sampled gauge families, so the exported metric catalogue is complete
-  // (and deterministic) from the first scrape.
+  // Resolves every counter and histogram the hot paths touch and declares
+  // the gauge sources (queue depths, cache/disk/pool occupancy, retry-after
+  // EWMA, cover memo, frontier), so the exported metric catalogue is
+  // complete (and deterministic) from construction.  A gauge source takes
+  // mu_, so never read registry_ while holding mu_.
   void register_instruments();
-  // Refreshes the sampled gauges (queue depths, cache/disk/pool occupancy,
-  // retry-after EWMA) from one consistent pass over the sources.
-  void sample_observability();
-  void sampler_loop();
-  void count_bad_request_locked();
-  // Closes a cancelled job's spans, counts it, and writes its access-log
-  // line.  Call *outside* mu_ — the job is terminal, nobody writes it now.
+  // Closes a cancelled job's spans and writes its access-log line.  Call
+  // *outside* mu_ — the job is terminal, nobody writes it now.
   void observe_cancelled(const std::shared_ptr<Job>& job);
 
   ServerOptions opts_;
@@ -212,7 +209,10 @@ class ServeServer {
   std::condition_variable job_cv_;  // job state transitions (result waiters)
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
   std::uint64_t next_id_ = 1;
-  ServerStats stats_;
+  // The job tallies live in registry_'s counters (stats() sums them);
+  // these two are the figures no counter holds.
+  std::size_t running_ = 0;
+  std::uint64_t connections_ = 0;
   double service_ewma_ms_ = 0.0;  // completed-job wall time, exp. smoothed
 
   int unix_fd_ = -1;
@@ -241,10 +241,6 @@ class ServeServer {
   analysis::FrontierTracker frontier_;
   std::unique_ptr<obs::AccessLog> access_log_;
   obs::MetricsHttpServer metrics_http_;
-  std::thread sampler_thread_;
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;
   // Hot-path instruments resolved once in register_instruments(); indexed
   // by priority class where labeled.
   obs::Counter* submissions_[kPriorityClasses] = {};

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/access_log.hpp"
@@ -61,22 +62,29 @@ TEST(ObsRegistry, HelpKeptFromFirstRegistration) {
   EXPECT_EQ(snap.help.at("req"), "requests by class");
 }
 
+// A gauge reads its source on every snapshot: the single series of a
+// registry whose only gauge is `name`.
+double read_gauge(const Registry& r) {
+  Registry::Snapshot snap = r.snapshot();
+  EXPECT_EQ(snap.gauges.size(), 1u);
+  return snap.gauges.empty() ? -1.0 : snap.gauges[0].value;
+}
+
 TEST(ObsRegistry, GaugeScaledMode) {
   Registry r;
-  Gauge& g = r.gauge("ewma_ms");
-  g.set(std::int64_t{42});
-  EXPECT_FALSE(g.scaled());
-  EXPECT_EQ(g.value(), 42);
-  g.set(1.5);  // switches to fixed-point millis
-  EXPECT_TRUE(g.scaled());
-  EXPECT_DOUBLE_EQ(g.value_scaled(), 1.5);
+  double ewma_ms = 42;
+  r.gauge_source({{"ewma_ms", {}, ""}}, [&] { return std::vector<double>{ewma_ms}; });
+  EXPECT_EQ(read_gauge(r), 42);
+  ewma_ms = 1.5;  // fractions carry through exactly
+  EXPECT_DOUBLE_EQ(read_gauge(r), 1.5);
 }
 
 TEST(ObsRegistry, SnapshotIsSortedAndComplete) {
   Registry r;
   r.counter("b.count").add(1);
   r.counter("a.count").add(2);
-  r.gauge("depth", {{"class", "normal"}}).set(std::int64_t{7});
+  r.gauge_source({{"depth", {{"class", "normal"}}, ""}},
+                 [] { return std::vector<double>{7}; });
   r.histogram("wait_us").record_micros(100);
 
   Registry::Snapshot snap = r.snapshot();
@@ -98,7 +106,7 @@ TEST(ObsRegistry, SnapshotIsSortedAndComplete) {
 TEST(ObsRegistry, WriteJsonShape) {
   Registry r;
   r.counter("req", {{"class", "high"}}).add(4);
-  r.gauge("ratio").set(0.25);
+  r.gauge_source({{"ratio", {}, ""}}, [] { return std::vector<double>{0.25}; });
   r.histogram("svc_us").record_micros(50);
 
   JsonWriter w;
@@ -118,37 +126,56 @@ TEST(ObsRegistry, WriteJsonShape) {
 }
 
 TEST(ObsGauge, SetOverwritesAndIsSigned) {
-  Gauge g;
-  EXPECT_EQ(g.value(), 0);
-  g.set(std::int64_t{10});
-  g.set(std::int64_t{13});
-  EXPECT_EQ(g.value(), 13);
-  g.set(std::int64_t{-7});
-  EXPECT_EQ(g.value(), -7) << "gauges are signed";
+  Registry r;
+  std::int64_t v = 0;
+  r.gauge_source({{"g", {}, ""}},
+                 [&] { return std::vector<double>{static_cast<double>(v)}; });
+  EXPECT_EQ(read_gauge(r), 0);
+  v = 10;
+  EXPECT_EQ(read_gauge(r), 10);
+  v = 13;
+  EXPECT_EQ(read_gauge(r), 13) << "a read sees the latest value";
+  v = -7;
+  EXPECT_EQ(read_gauge(r), -7) << "gauges are signed";
 }
 
 TEST(MetricsRegistry, NamesAreStableAndShared) {
   Registry reg;
   reg.counter("a").add(2);
   reg.counter("a").add(3);
-  reg.gauge("q").set(std::int64_t{4});
   EXPECT_EQ(reg.counter("a").value(), 5u);
-  EXPECT_EQ(reg.gauge("q").value(), 4);
-  reg.gauge("q").set(std::int64_t{-7});
-  EXPECT_EQ(reg.gauge("q").value(), -7) << "gauges are signed";
 
-  reg.update_gauges({{"q", 1}, {"disk.hits", 2}});
+  // One source, two series: both values come from one read per snapshot,
+  // and the series merge into key order, not declaration order.
+  std::vector<double> source = {4, 0};
+  int reads = 0;
+  reg.gauge_source({{"q", {}, ""}, {"disk.hits", {}, ""}}, [&] {
+    ++reads;
+    return source;
+  });
   Registry::Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.gauges.size(), 2u);
+  EXPECT_EQ(snap.gauges[1].name, "q");
+  EXPECT_EQ(snap.gauges[1].value, 4);
+  source = {-7, 0};
+  EXPECT_EQ(reg.snapshot().gauges[1].value, -7) << "gauges are signed";
+
+  source = {1, 2};
+  reads = 0;
+  snap = reg.snapshot();
+  EXPECT_EQ(reads, 1);
   ASSERT_EQ(snap.gauges.size(), 2u);
   EXPECT_EQ(snap.gauges[0].name, "disk.hits");
   EXPECT_EQ(snap.gauges[0].value, 2);
   EXPECT_EQ(snap.gauges[1].value, 1);
+  EXPECT_THROW(reg.gauge_source({{"q", {}, ""}}, [] { return std::vector<double>{}; }),
+               std::logic_error);
 }
 
 TEST(ObsRegistry, WriteJsonCarriesLifetimeQuantiles) {
   Registry reg;
   reg.counter("flow.runs").add(3);
-  reg.gauge("pool.pending").set(std::int64_t{2});
+  reg.gauge_source({{"pool.pending", {}, ""}}, [] { return std::vector<double>{2}; });
   for (std::uint64_t i = 1; i <= 100; ++i) reg.histogram("stage.sim").record_micros(i);
 
   JsonWriter w;
@@ -305,7 +332,8 @@ TEST(ObsPrometheus, GoldenCounterAndGaugeRender) {
   Registry r;
   r.counter("serve.submissions", {{"class", "high"}}, "jobs accepted").add(3);
   r.counter("serve.submissions", {{"class", "low"}}).add(1);
-  r.gauge("serve.running", {}, "1 while serving").set(std::int64_t{1});
+  r.gauge_source({{"serve.running", {}, "1 while serving"}},
+                 [] { return std::vector<double>{1}; });
 
   const std::string got = render_prometheus(r.snapshot());
   const std::string want =
@@ -541,9 +569,14 @@ TEST(ObsAccessLog, ValidateCatchesGarbage) {
   out << "{\"ts_ms\":1,\"event\":\"done\",\"id\":1}\n";  // missing members
   out << "this is not json\n";
   out << "{\"ts_ms\":2,\"event\":\"exploded\",\"id\":2}\n";  // bad enum
+  out << "{\"ts_ms\":-5,\"event\":\"done\",\"id\":3}\n";  // no uint64 value
   out.close();
   std::vector<std::string> problems = AccessLog::validate(path);
-  EXPECT_GE(problems.size(), 3u);
+  EXPECT_GE(problems.size(), 4u);
+  bool bad_ts = false;
+  for (const auto& p : problems)
+    bad_ts |= p.find(":4: ts_ms is not a non-negative integer") != std::string::npos;
+  EXPECT_TRUE(bad_ts);
   // A missing file is a problem, not a crash.
   EXPECT_FALSE(AccessLog::validate(temp_path("nonexistent")).empty());
   std::remove(path.c_str());

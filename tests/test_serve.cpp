@@ -296,6 +296,14 @@ TEST(ServeServer, SubmitAndResultOverUnixSocket) {
   EXPECT_EQ(member_string(stats, "state"), "serving");
   ASSERT_NE(stats.find("jobs"), nullptr);
   EXPECT_EQ(static_cast<int>(stats.find("jobs")->at("completed").number), 1);
+  // The executor's cache.entries gauge reads the same cache as the reply's
+  // own cache section, not an end-of-run copy of it.
+  const JsonValue* gauge = nullptr;
+  for (const JsonValue& g : stats.at("metrics").at("gauges").array)
+    if (g.at("name").string == "cache.entries") gauge = &g;
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_GT(stats.at("cache").at("entries").number, 0.0);
+  EXPECT_EQ(gauge->at("value").number, stats.at("cache").at("entries").number);
 
   server.request_shutdown(true);
   EXPECT_EQ(server.wait(), 0);
@@ -358,6 +366,18 @@ TEST(ServeServer, BadSubmitsAreRejectedStructurally) {
 
   JsonValue not_found = client.request("{\"op\":\"status\",\"id\":999}");
   EXPECT_EQ(member_string(not_found, "code"), "not_found");
+
+  // Numbers no integer field can hold are rejected, not converted: a
+  // double outside the target type's range has no defined conversion.
+  for (const char* req :
+       {"{\"op\":\"status\",\"id\":-1}", "{\"op\":\"status\",\"id\":0.5}",
+        "{\"op\":\"result\",\"id\":1e300}", "{\"op\":\"cancel\",\"id\":-1}",
+        "{\"op\":\"trace\",\"id\":-1}",
+        "{\"op\":\"result\",\"id\":1,\"timeout_ms\":-1}",
+        "{\"op\":\"submit\",\"bench\":\"diffeq\",\"deadline_ms\":-5}",
+        "{\"op\":\"submit\",\"bench\":\"diffeq\",\"seed\":1e300}",
+        "{\"op\":\"submit\",\"bench\":\"diffeq\",\"init\":{\"x\":1e300}}"})
+    EXPECT_EQ(member_string(client.request(req), "code"), "bad_request") << req;
 
   server.request_shutdown(true);
   server.wait();
@@ -451,11 +471,13 @@ TEST(ServeServer, RestartReplaysWarmFromSharedCacheDir) {
       ASSERT_NE(disk, nullptr) << "warm run missing from_disk_cache";
       EXPECT_TRUE(disk->boolean);
     }
-    // The disk tier's counters surface as metrics gauges (sampled at the
-    // end of every run).
-    EXPECT_GE(server.executor().metrics().gauge("disk.hits").value(),
-              static_cast<std::int64_t>(grid.size()));
-    EXPECT_EQ(server.executor().metrics().gauge("disk.corrupt").value(), 0);
+    // The disk tier's counters surface as metrics gauges, read from the
+    // tier whenever the registry is.
+    std::map<std::string, double> gauges;
+    for (const auto& g : server.executor().metrics().snapshot().gauges)
+      gauges[g.name] = g.value;
+    EXPECT_GE(gauges.at("disk.hits"), static_cast<double>(grid.size()));
+    EXPECT_EQ(gauges.at("disk.corrupt"), 0);
     server.request_shutdown(true);
     ASSERT_EQ(server.wait(), 0);
   }
@@ -829,10 +851,6 @@ TEST(ServeObservability, MetricsHttpEndpointServesValidPrometheus) {
   EXPECT_EQ(member_string(cl.wait_result(cl.submit(submit_payload("lt"))),
                           "status"),
             "ok");
-  // `metrics` refreshes the sampled gauges synchronously, so the scrape
-  // right after sees current values rather than the sampler's last tick.
-  ASSERT_TRUE(reply_ok(cl.request("{\"op\":\"metrics\"}")));
-
   int status = 0;
   std::string body, error;
   ASSERT_TRUE(obs::http_get("127.0.0.1",
@@ -849,6 +867,12 @@ TEST(ServeObservability, MetricsHttpEndpointServesValidPrometheus) {
   EXPECT_NE(body.find("adc_serve_service_us_window{class=\"normal\","
                       "quantile=\"0.95\"}"),
             std::string::npos);
+  // Gauges read their source at scrape time: the job's stage-cache
+  // entries show up straight away, with no refresh in between.
+  const std::string entries = "\nadc_serve_cache_entries ";
+  const std::size_t at = body.find(entries);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GT(std::stod(body.substr(at + entries.size())), 0.0);
 
   ASSERT_TRUE(obs::http_get("127.0.0.1",
                             static_cast<std::uint16_t>(

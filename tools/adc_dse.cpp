@@ -477,16 +477,18 @@ int main(int argc, char** argv) {
       obs::TraceSpan span(obs::TraceContext(opts.tracer), "analysis.profile");
       profile = std::make_unique<analysis::DseProfile>(
           analysis::build_dse_profile(points, "adc_dse"));
-      obs::Registry& m = exec.metrics();
-      m.gauge("analysis.points")
-          .set(static_cast<std::int64_t>(profile->points.size()));
-      m.gauge("analysis.frontier_size")
-          .set(static_cast<std::int64_t>(profile->grid.frontier.size()));
-      m.gauge("analysis.dominated")
-          .set(static_cast<std::int64_t>(profile->grid.dominated.size()));
-      m.gauge("analysis.top_bottleneck_ticks")
-          .set(profile->grid.channels.empty() ? 0
-                                              : profile->grid.channels.front().ticks);
+      // The profile is final once built, so its source is its figures.
+      const analysis::GridAnalysis& g = profile->grid;
+      const std::vector<double> figures = {
+          static_cast<double>(profile->points.size()),
+          static_cast<double>(g.frontier.size()),
+          static_cast<double>(g.dominated.size()),
+          g.channels.empty() ? 0.0 : static_cast<double>(g.channels.front().ticks)};
+      exec.metrics().gauge_source({{"analysis.points", {}, ""},
+                                   {"analysis.frontier_size", {}, ""},
+                                   {"analysis.dominated", {}, ""},
+                                   {"analysis.top_bottleneck_ticks", {}, ""}},
+                                  [figures] { return figures; });
     }
 
     int rc = 0;
