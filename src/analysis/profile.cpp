@@ -1,6 +1,7 @@
 #include "analysis/profile.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "report/json.hpp"
@@ -168,22 +169,22 @@ std::string to_json(const DseProfile& prof, bool pretty) {
 
 namespace {
 
-double num(const JsonValue& o, const char* k) {
-  const JsonValue* v = o.find(k);
-  return v && v->is_number() ? v->number : 0.0;
-}
-
 std::string str(const JsonValue& o, const char* k) {
   const JsonValue* v = o.find(k);
   return v && v->is_string() ? v->string : std::string();
 }
 
-std::map<std::string, std::int64_t> parse_map(const JsonValue* o) {
-  std::map<std::string, std::int64_t> m;
-  if (o && o->is_object())
-    for (const auto& [k, v] : o->object)
-      m[k] = static_cast<std::int64_t>(v.number);
-  return m;
+// Member `k` of `o` as an integer of type T: 0 when absent, and a problem
+// when present but not an integer representable in T (casting such a
+// double would be undefined behaviour).
+template <class T>
+T integer(const JsonValue& o, const char* k, const std::string& where,
+          std::vector<std::string>& problems) {
+  const JsonValue* v = o.find(k);
+  if (!v) return 0;
+  if (std::optional<T> n = json_integer<T>(*v)) return *n;
+  problems.push_back(where + ": '" + k + "' is not an integer in range");
+  return 0;
 }
 
 }  // namespace
@@ -194,7 +195,7 @@ std::vector<std::string> validate_dse_profile(const JsonValue& doc) {
   if (!doc.is_object()) return {"not a JSON object"};
   if (str(doc, "kind") != kProfileKind)
     bad("kind is not '" + std::string(kProfileKind) + "'");
-  if (static_cast<int>(num(doc, "version")) != kProfileVersion)
+  if (integer<int>(doc, "version", "document", problems) != kProfileVersion)
     bad("version is not " + std::to_string(kProfileVersion));
   if (str(doc, "tool").empty()) bad("missing tool");
   const JsonValue* pts = doc.find("points");
@@ -214,11 +215,13 @@ std::vector<std::string> validate_dse_profile(const JsonValue& doc) {
     }
     for (const char* key : {"benchmark", "script", "status"})
       if (!o.find(key)) bad(where + ": missing '" + key + "'");
-    if (static_cast<std::size_t>(num(o, "index")) != pos)
-      bad(where + ": index does not match its position");
+    auto count = [&](const JsonValue& obj, const char* k) {
+      return integer<std::size_t>(obj, k, where, problems);
+    };
+    if (count(o, "index") != pos) bad(where + ": index does not match its position");
     const bool ok = o.find("ok") && o.at("ok").boolean;
-    const auto cycle = static_cast<std::int64_t>(num(o, "cycle_time"));
-    const auto attributed = static_cast<std::int64_t>(num(o, "attributed"));
+    const auto cycle = integer<std::int64_t>(o, "cycle_time", where, problems);
+    const auto attributed = integer<std::int64_t>(o, "attributed", where, problems);
     // The area books: per-controller transistor counts must match the
     // model (2/AND-literal + 2/OR-input + 8/state latch + 4/output keeper)
     // and the total must add the 6-transistor channel transition
@@ -231,17 +234,15 @@ std::vector<std::string> validate_dse_profile(const JsonValue& doc) {
       std::size_t sum = 0;
       if (const JsonValue* cs = area->find("controllers"); cs && cs->is_array())
         for (const JsonValue& c : cs->array) {
-          std::size_t expect = 2 * static_cast<std::size_t>(num(c, "literals")) +
-                               2 * static_cast<std::size_t>(num(c, "products")) +
-                               8 * static_cast<std::size_t>(num(c, "state_bits")) +
-                               4 * static_cast<std::size_t>(num(c, "outputs"));
-          if (static_cast<std::size_t>(num(c, "transistors")) != expect)
+          std::size_t expect = 2 * count(c, "literals") + 2 * count(c, "products") +
+                               8 * count(c, "state_bits") + 4 * count(c, "outputs");
+          if (count(c, "transistors") != expect)
             bad(where + ": controller '" + str(c, "name") +
                 "' transistors disagree with the area model");
           sum += expect;
         }
-      sum += 6 * static_cast<std::size_t>(num(*area, "channels"));
-      if (static_cast<std::size_t>(num(*area, "total_transistors")) != sum)
+      sum += 6 * count(*area, "channels");
+      if (count(*area, "total_transistors") != sum)
         bad(where + ": total_transistors does not sum controllers + wiring");
     }
     if (const JsonValue* seg = o.find("segments")) {
@@ -249,10 +250,12 @@ std::vector<std::string> validate_dse_profile(const JsonValue& doc) {
         bad(where + ": segments is not an object");
       } else {
         std::int64_t phase_sum = 0;
-        for (const auto& [k, v] : parse_map(seg->find("by_phase"))) {
-          (void)k;
-          phase_sum += v;
-        }
+        if (const JsonValue* phases = seg->find("by_phase"); phases && phases->is_object())
+          for (const auto& [k, v] : phases->object) {
+            std::optional<std::int64_t> ticks = json_integer<std::int64_t>(v);
+            if (!ticks || __builtin_add_overflow(phase_sum, *ticks, &phase_sum))
+              bad(where + ": by_phase '" + k + "' is not an integer in range");
+          }
         if (phase_sum != attributed)
           bad(where + ": by_phase segments sum to " + std::to_string(phase_sum) +
               ", not the attributed " + std::to_string(attributed));
@@ -282,7 +285,7 @@ std::vector<std::string> validate_dse_profile(const JsonValue& doc) {
     std::int64_t last = -1;
     bool first = true;
     for (const JsonValue& b : arr->array) {
-      auto t = static_cast<std::int64_t>(num(b, "ticks"));
+      auto t = integer<std::int64_t>(b, "ticks", "bottleneck", problems);
       if (!first && t > last)
         bad(std::string("bottleneck ranking '") + kind + "' is not descending");
       last = t;
@@ -292,7 +295,7 @@ std::vector<std::string> validate_dse_profile(const JsonValue& doc) {
   std::set<std::size_t> frontier;
   if (const JsonValue* f = grid->find("frontier"); f && f->is_array()) {
     for (const JsonValue& e : f->array) {
-      auto idx = static_cast<std::size_t>(num(e, "index"));
+      auto idx = integer<std::size_t>(e, "index", "frontier", problems);
       if (!sim_ok.count(idx))
         bad("frontier names point " + std::to_string(idx) +
             ", which is not a simulated ok point");
@@ -305,8 +308,8 @@ std::vector<std::string> validate_dse_profile(const JsonValue& doc) {
   if (const JsonValue* d = grid->find("dominated"); d && d->is_array()) {
     for (const JsonValue& e : d->array) {
       ++dominated_count;
-      auto idx = static_cast<std::size_t>(num(e, "index"));
-      auto by = static_cast<std::size_t>(num(e, "dominated_by"));
+      auto idx = integer<std::size_t>(e, "index", "dominated", problems);
+      auto by = integer<std::size_t>(e, "dominated_by", "dominated", problems);
       if (frontier.count(idx))
         bad("point " + std::to_string(idx) + " is both frontier and dominated");
       if (!frontier.count(by))
@@ -319,7 +322,7 @@ std::vector<std::string> validate_dse_profile(const JsonValue& doc) {
   if (const JsonValue* s = grid->find("suggestions"); s && s->is_array()) {
     std::size_t rank = 1;
     for (const JsonValue& e : s->array) {
-      if (static_cast<std::size_t>(num(e, "rank")) != rank)
+      if (integer<std::size_t>(e, "rank", "suggestion", problems) != rank)
         bad("suggestion ranks are not 1..k ascending");
       ++rank;
     }

@@ -41,8 +41,44 @@ Operand Operand::make_const(std::int64_t value) {
   return o;
 }
 
+namespace {
+
+// Two's-complement wrap: the arithmetic runs in uint64_t, where overflow
+// is defined, and converts back (modular since C++20).
+std::int64_t wrap_add(std::int64_t l, std::int64_t r) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(l) + static_cast<std::uint64_t>(r));
+}
+std::int64_t wrap_sub(std::int64_t l, std::int64_t r) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(l) - static_cast<std::uint64_t>(r));
+}
+std::int64_t wrap_mul(std::int64_t l, std::int64_t r) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(l) * static_cast<std::uint64_t>(r));
+}
+
+}  // namespace
+
+std::int64_t alu_compute(RtlOp op, std::int64_t l, std::int64_t r) {
+  switch (op) {
+    case RtlOp::kAdd: return wrap_add(l, r);
+    case RtlOp::kSub: return wrap_sub(l, r);
+    case RtlOp::kMul: return wrap_mul(l, r);
+    case RtlOp::kDiv:
+      if (r == 0) return 0;
+      if (r == -1) return wrap_sub(0, l);  // INT64_MIN / -1 wraps to INT64_MIN
+      return l / r;
+    case RtlOp::kLt: return l < r ? 1 : 0;
+    case RtlOp::kGt: return l > r ? 1 : 0;
+    case RtlOp::kEq: return l == r ? 1 : 0;
+    case RtlOp::kNe: return l != r ? 1 : 0;
+    case RtlOp::kShl: return static_cast<std::int64_t>(static_cast<std::uint64_t>(l) << (r & 63));
+    case RtlOp::kShr: return l >> (r & 63);
+    case RtlOp::kMove: return l;
+  }
+  return 0;
+}
+
 std::int64_t Operand::eval(std::int64_t reg_value) const {
-  return is_const() ? literal : scale * reg_value;
+  return is_const() ? literal : wrap_mul(scale, reg_value);
 }
 
 std::string Operand::to_string() const {

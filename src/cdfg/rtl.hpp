@@ -37,6 +37,11 @@ bool is_comparison(RtlOp op);
 // Short printable mnemonic: "+", "-", "*", "<", ...
 const char* to_string(RtlOp op);
 
+// op(l, r): the one ALU semantics every simulator shares.  Add, sub, mul
+// and shl wrap in two's complement; x / 0 is 0 and INT64_MIN / -1 is
+// INT64_MIN; comparisons give 0/1; kMove passes `l` through.
+std::int64_t alu_compute(RtlOp op, std::int64_t l, std::int64_t r);
+
 // An operand: either `scale * register` or an integer literal.
 struct Operand {
   enum class Kind { kReg, kConst } kind = Kind::kReg;
@@ -50,7 +55,8 @@ struct Operand {
   bool is_reg() const { return kind == Kind::kReg; }
   bool is_const() const { return kind == Kind::kConst; }
 
-  // Evaluate given the register value (ignored for constants).
+  // Evaluate given the register value (ignored for constants); the scale
+  // multiplies with two's-complement wrap, as alu_compute does.
   std::int64_t eval(std::int64_t reg_value) const;
 
   std::string to_string() const;

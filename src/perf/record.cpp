@@ -225,7 +225,7 @@ std::vector<std::string> validate_bench_json(const JsonValue& doc) {
   if (!kind || !kind->is_string() || kind->string != kBenchKind)
     bad("kind is not 'adc-bench'");
   const JsonValue* ver = doc.find("version");
-  if (!ver || !ver->is_number() || static_cast<int>(ver->number) != kBenchVersion)
+  if (!ver || json_integer<int>(*ver) != kBenchVersion)
     bad("version is not " + std::to_string(kBenchVersion));
   for (const char* k : {"tool", "env", "policy"})
     if (!doc.find(k)) bad(std::string("missing '") + k + "'");

@@ -15,7 +15,6 @@
 #include "runtime/fault.hpp"
 #include "runtime/watchdog.hpp"
 #include "trace/log.hpp"
-#include "trace/tracer.hpp"
 
 namespace adc {
 
@@ -434,7 +433,7 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
   p.benchmark = req.benchmark;
   p.script = req.script;  // replaced by the normalized form once parsed
   metrics_.counter("flow.runs").add();
-  StageScope total(obs::TraceContext(req.trace.trace_ptr(), req.trace.parent(),
+  StageScope total(obs::TraceContext(req.trace.job_ptr(), req.trace.parent(),
                                      opts_.tracer),
                    "flow.run", "flow", flow_total_);
   obs::TraceSpan& span = total.span();
@@ -742,8 +741,11 @@ FlowPoint parse_flow_point(const std::string& json) {
   p.sim_operations = static_cast<std::int64_t>(num(doc, "sim_operations"));
   p.total_micros = static_cast<std::uint64_t>(num(doc, "total_us"));
   if (const JsonValue* regs = doc.find("registers"); regs && regs->is_object())
-    for (const auto& [name, value] : regs->object)
-      p.sim_registers[name] = static_cast<std::int64_t>(value.number);
+    for (const auto& [name, value] : regs->object) {
+      const std::optional<std::int64_t> v = json_integer<std::int64_t>(value);
+      if (!v) throw std::runtime_error("register " + name + " is not an int64");
+      p.sim_registers[name] = *v;
+    }
   if (const JsonValue* ctrls = doc.find("controllers"); ctrls && ctrls->is_array())
     for (const JsonValue& c : ctrls->array) {
       ControllerMetrics m;

@@ -45,8 +45,6 @@
 
 namespace adc {
 
-class Tracer;
-
 // Structured outcome of one flow run (the scheduler-grade job lifecycle:
 // a failing point is *classified*, never just "not ok").
 enum class FlowStatus {
@@ -88,12 +86,12 @@ struct FlowRequest {
   std::uint64_t deadline_ms = 0;        // whole-job wall budget
   // External cancellation; shared with the deadline watchdog.
   CancelToken cancel;
-  // Request-scoped trace (obs/trace_context.hpp).  When it carries a
-  // JobTrace, run() parents one span per executed stage — frontend, each
-  // gt step, per-controller synthesis, sim, disk probe/replay — under it,
-  // so a serving daemon exports one connected tree per job.  run() adds
-  // the executor's Options::tracer to it.  Default-empty: the batch CLIs
-  // pay a few null checks per stage.
+  // Request-scoped trace (obs/trace_context.hpp).  When it carries a job
+  // trace, run() parents one span per executed stage — frontend, each gt
+  // step, per-controller synthesis, sim, disk probe/replay — under it, so
+  // a serving daemon exports one connected tree per job.  run() adds the
+  // executor's Options::tracer to it as the process trace.  Default-empty:
+  // the batch CLIs pay a few null checks per stage.
   obs::TraceContext trace;
 };
 
@@ -184,10 +182,10 @@ class FlowExecutor {
  public:
   struct Options {
     std::size_t cache_capacity = 1024;  // 0 disables stage caching
-    // Optional span tracer (borrowed, not owned).  Every stage of every
+    // Optional process trace (borrowed, not owned).  Every stage of every
     // run records a span, annotated with its cache disposition; pool and
     // cache gauges are written as counter tracks.  Null = tracing off.
-    Tracer* tracer = nullptr;
+    obs::Trace* tracer = nullptr;
     // Persistent disk tier: completed ok/deadlock points are stored as
     // checksummed JSON under this directory and replayed on the next run
     // (runtime/disk_cache.hpp).  Empty = disabled.
@@ -239,7 +237,7 @@ class FlowExecutor {
                                                            const ControllerSet& set);
   // The current stage-cache, pool, cover-memo and disk-tier figures: the
   // metrics gauges' source, and the counter tracks trace_gauges() writes
-  // at the end of every run when a tracer is attached.
+  // at the end of every run when a process trace is attached.
   std::vector<std::pair<const char*, std::int64_t>> gauge_values() const;
   void trace_gauges() const;
 

@@ -558,7 +558,7 @@ std::string ServeServer::op_submit(const JsonValue& doc) {
     job->id = id;
     // Trace minted at accept: the root span covers the job's whole
     // lifetime, queue.wait its time until a worker claims it.
-    job->trace = std::make_shared<obs::JobTrace>(mix64(start_micros_ + id));
+    job->trace = std::make_shared<obs::Trace>(mix64(start_micros_ + id));
     job->root_span = job->trace->begin("job", "serve", 0);
     job->trace->annotate(job->root_span, "benchmark", job->req.benchmark);
     job->trace->annotate(job->root_span, "script", job->req.script);

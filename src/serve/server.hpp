@@ -79,7 +79,7 @@ struct ServerOptions {
   std::uint64_t max_deadline_ms = 0;  // 0 = no cap
 
   // Forwarded to the shared executor (disk_cache_dir is the persistent,
-  // client-shared tier; tracer spans cover every job of every client).
+  // client-shared tier; the process trace covers every job of every client).
   FlowExecutor::Options flow;
 
   // --- observability (src/obs/) --------------------------------------------
@@ -163,7 +163,7 @@ class ServeServer {
     std::string client;  // client-supplied name (access-log attribution)
     // Per-request span tree (obs/trace_context.hpp): the root span covers
     // submit -> terminal state, queue_span the submit -> dequeue wait.
-    std::shared_ptr<obs::JobTrace> trace;
+    std::shared_ptr<obs::Trace> trace;
     std::uint64_t root_span = 0;
     std::uint64_t queue_span = 0;
     std::uint64_t submit_micros = 0;   // steady-clock stamp at accept

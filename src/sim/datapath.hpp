@@ -34,7 +34,4 @@ struct RegisterFile {
   }
 };
 
-// Evaluates op(l, r) with the same semantics as the token simulator.
-std::int64_t alu_compute(RtlOp op, std::int64_t l, std::int64_t r);
-
 }  // namespace adc

@@ -15,23 +15,9 @@ void execute_statement(const RtlStatement& s, std::map<std::string, std::int64_t
   auto value = [&regs](const Operand& o) {
     return o.eval(o.is_reg() ? regs[o.reg] : 0);
   };
-  std::int64_t l = value(s.lhs);
-  std::int64_t r = s.rhs ? value(*s.rhs) : 0;
-  std::int64_t out = 0;
-  switch (s.op) {
-    case RtlOp::kAdd: out = l + r; break;
-    case RtlOp::kSub: out = l - r; break;
-    case RtlOp::kMul: out = l * r; break;
-    case RtlOp::kDiv: out = r == 0 ? 0 : l / r; break;  // x/0 defined as 0
-    case RtlOp::kLt: out = l < r ? 1 : 0; break;
-    case RtlOp::kGt: out = l > r ? 1 : 0; break;
-    case RtlOp::kEq: out = l == r ? 1 : 0; break;
-    case RtlOp::kNe: out = l != r ? 1 : 0; break;
-    case RtlOp::kShl: out = l << (r & 63); break;
-    case RtlOp::kShr: out = l >> (r & 63); break;
-    case RtlOp::kMove: out = l; break;
-  }
-  regs[s.dest] = out;
+  const std::int64_t l = value(s.lhs);
+  const std::int64_t r = s.rhs ? value(*s.rhs) : 0;
+  regs[s.dest] = alu_compute(s.op, l, r);
 }
 
 namespace {

@@ -13,9 +13,10 @@
 //    the artifact itself (which unregisters it).
 //
 // Callbacks must therefore produce a complete, well-formed file from
-// whatever has been buffered so far — the span tracer only buffers
-// finished spans and the VCD writer emits a full header + change stream,
-// so partial-progress flushes still pass `adc_obs_check`.
+// whatever has been buffered so far — a trace flush first closes the
+// spans in flight (obs::Trace::close_open) and the VCD writer emits a full
+// header + change stream, so partial-progress flushes still pass
+// `adc_obs_check`.
 //
 // Signal-safety caveat: the handlers run ordinary buffered I/O, which is
 // formally async-signal-unsafe; for a CLI tool interrupted by a user this

@@ -124,6 +124,20 @@ TEST(DseProfile, ValidatorRejectsWrongKindAndVersion) {
   mut(doc, "kind")->string = kProfileKind;
   mut(doc, "version")->number = 99;
   EXPECT_FALSE(validate_dse_profile(doc).empty());
+
+  // Numbers that are no integer of the field's type are problems, never
+  // undefined casts.
+  const std::pair<const char*, double> out_of_range[] = {
+      {"index", -1}, {"index", 0.5}, {"cycle_time", 1e300}};
+  for (const auto& [key, value] : out_of_range) {
+    JsonValue bad_doc = parse_json(to_json(prof));
+    mut(mut(bad_doc, "points")->array[0], key)->number = value;
+    const auto problems = validate_dse_profile(bad_doc);
+    bool named = false;
+    for (const auto& p : problems)
+      named |= p.find(std::string("'") + key + "' is not an integer") != std::string::npos;
+    EXPECT_TRUE(named) << key << " = " << value;
+  }
 }
 
 TEST(DseProfile, ValidatorRederivesTheAreaModel) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "extract/extract.hpp"
 #include "frontend/benchmarks.hpp"
 #include "ltrans/local.hpp"
@@ -49,6 +51,15 @@ TEST(EventSim, AluComputeSemantics) {
   EXPECT_EQ(alu_compute(RtlOp::kMul, 3, 4), 12);
   EXPECT_EQ(alu_compute(RtlOp::kLt, 3, 4), 1);
   EXPECT_EQ(alu_compute(RtlOp::kDiv, 8, 0), 0);
+  // Overflow wraps in two's complement; INT64_MIN / -1 is defined.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(alu_compute(RtlOp::kAdd, kMax, 1), kMin);
+  EXPECT_EQ(alu_compute(RtlOp::kSub, kMin, 1), kMax);
+  EXPECT_EQ(alu_compute(RtlOp::kMul, kMin, -1), kMin);
+  EXPECT_EQ(alu_compute(RtlOp::kDiv, kMin, -1), kMin);
+  EXPECT_EQ(alu_compute(RtlOp::kDiv, 7, -1), -7);
+  EXPECT_EQ(Operand::make_reg("r", 2).eval(kMax), -2) << "scaled operand wraps";
 }
 
 class EventSimVariant : public ::testing::TestWithParam<std::pair<bool, bool>> {};

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "logic/memo.hpp"
@@ -49,7 +51,12 @@ class LogicMemoTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fault().reset();
-    dir_ = fs::temp_directory_path() / "adc_logic_memo_test";
+    // One directory per test and process: `ctest -j` runs the tests of
+    // this fixture concurrently.
+    dir_ = fs::temp_directory_path() /
+           ("adc_logic_memo_" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+            "_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
   }
   void TearDown() override {

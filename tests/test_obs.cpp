@@ -585,7 +585,7 @@ TEST(ObsAccessLog, ValidateCatchesGarbage) {
 // --- job traces -------------------------------------------------------------
 
 TEST(ObsJobTrace, SpanTreeAndHexId) {
-  JobTrace trace(0x0123456789abcdefull);
+  Trace trace(0x0123456789abcdefull);
   EXPECT_EQ(trace.trace_id_hex(), "0123456789abcdef");
 
   std::uint64_t root = trace.begin("job", "serve", 0);
@@ -608,7 +608,7 @@ TEST(ObsJobTrace, SpanTreeAndHexId) {
 }
 
 TEST(ObsJobTrace, ChromeExportShapeAndConnectivity) {
-  JobTrace trace(42);
+  Trace trace(42);
   std::uint64_t root = trace.begin("job", "serve", 0);
   std::uint64_t stage = trace.begin("flow.run", "flow", root);
   std::uint64_t open_span = trace.begin("never.closed", "flow", stage);
@@ -668,7 +668,7 @@ TEST(ObsJobTrace, InertContextCostsNothing) {
 }
 
 TEST(ObsJobTrace, TraceSpanRaiiAttachesArgsOnClose) {
-  auto trace = std::make_shared<JobTrace>(1);
+  auto trace = std::make_shared<Trace>(1);
   TraceContext root_ctx(trace, 0);
   std::uint64_t child_id = 0;
   {

@@ -146,6 +146,8 @@ TEST(PerfRecord, ValidatorCatchesBrokenDocuments) {
   };
   EXPECT_TRUE(has_problem(swap("\"version\": 1", "\"version\": 99"),
                           "version is not"));
+  EXPECT_TRUE(has_problem(swap("\"version\": 1", "\"version\": 1e300"),
+                          "version is not"));
   EXPECT_TRUE(has_problem(swap("\"cores\": 4", "\"cores\": 0"), "cores < 1"));
   EXPECT_TRUE(has_problem(swap("\"name\": \"flow.cold\"",
                                "\"name\": \"sim.diffeq\""),

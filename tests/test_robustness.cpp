@@ -344,6 +344,12 @@ TEST_F(RobustnessTest, FlowPointJsonRoundTrips) {
     EXPECT_EQ(r.timings[i].stage, p.timings[i].stage);
     EXPECT_EQ(r.timings[i].cached, p.timings[i].cached);
   }
+  // Registers are untrusted integers: one no int64 holds rejects the payload.
+  const std::string head =
+      R"({"benchmark": "b", "script": "lt", "ok": true, "status": "ok", "registers": )";
+  EXPECT_EQ(parse_flow_point(head + R"({"r0": -3}})").sim_registers.at("r0"), -3);
+  EXPECT_THROW(parse_flow_point(head + R"({"r0": 1e300}})"), std::runtime_error);
+  EXPECT_THROW(parse_flow_point(head + R"({"r0": 0.5}})"), std::runtime_error);
 }
 
 TEST_F(RobustnessTest, DeadlockPointJsonRoundTripsStatus) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "frontend/benchmarks.hpp"
 #include "sim/golden.hpp"
 #include "sim/token_sim.hpp"
@@ -30,6 +32,19 @@ TEST(TokenSim, ExecuteStatementSemantics) {
   EXPECT_EQ(regs["c"], 17);
   execute_statement(parse_rtl("c := a / 0"), regs);
   EXPECT_EQ(regs["c"], 0) << "division by zero is defined as 0";
+
+  // Overflow wraps in two's complement, as alu_compute does.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  regs = {{"big", kMax}, {"small", kMin}, {"one", 1}, {"neg", -1}, {"zero", 0}};
+  execute_statement(parse_rtl("c := big + one"), regs);
+  EXPECT_EQ(regs["c"], kMin);
+  execute_statement(parse_rtl("c := small * neg"), regs);
+  EXPECT_EQ(regs["c"], kMin);
+  execute_statement(parse_rtl("c := small / neg"), regs);
+  EXPECT_EQ(regs["c"], kMin);
+  execute_statement(parse_rtl("c := 2big + zero"), regs);
+  EXPECT_EQ(regs["c"], -2) << "scaled operand wraps";
 }
 
 TEST(TokenSim, SequentialMatchesIndependentGolden) {

@@ -1,20 +1,18 @@
-// Trace-layer tests: the span tracer must produce well-formed Chrome
-// trace_event JSON (validated with the repo's own parser) with balanced
-// B/E pairs per track even under a multi-threaded DSE batch, stage spans
-// must carry their cache disposition, every stage of a run must reach
-// every telemetry sink, and the structured logger must honour levels and
-// render fields.
-
-#include "trace/tracer.hpp"
+// Trace-layer tests: the span recorder must produce well-formed Chrome
+// trace_event JSON (validated with the repo's own parser) with finished,
+// connected spans and monotone time per track even under a multi-threaded
+// DSE batch, stage spans must carry their cache disposition, every stage
+// of a run must reach every telemetry sink, and the structured logger
+// must honour levels and render fields.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/trace_context.hpp"
+#include "report/json.hpp"
 #include "report/json_parse.hpp"
 #include "runtime/flow.hpp"
 #include "trace/flush.hpp"
@@ -23,117 +21,151 @@
 namespace adc {
 namespace {
 
-// --- tracer unit ----------------------------------------------------------
+JsonValue chrome_trace(const obs::Trace& trace) {
+  JsonWriter w;
+  trace.write_chrome_trace(w, 1);
+  return parse_json(w.str());
+}
+
+// --- recorder unit ----------------------------------------------------------
 
 TEST(Tracer, SpansBeginAndEndOnOneTrack) {
-  Tracer tracer;
-  const obs::TraceContext ctx(&tracer);
+  obs::Trace trace(0);
+  const obs::TraceContext ctx(&trace);
   {
     obs::TraceSpan outer(ctx, "outer", "test");
-    obs::TraceSpan inner(ctx, "inner", "test");
+    obs::TraceSpan inner(outer.context(), "inner", "test");
     inner.arg("cache", "miss");
   }
-  auto tracks = tracer.tracks();
-  ASSERT_EQ(tracks.size(), 1u);
-  auto events = tracer.events_for_track(tracks[0]);
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].phase, TraceEvent::Phase::kBegin);
-  EXPECT_EQ(events[0].name, "outer");
-  EXPECT_EQ(events[1].name, "inner");
-  // Inner ends before outer; args land on the end event.
-  EXPECT_EQ(events[2].phase, TraceEvent::Phase::kEnd);
-  EXPECT_EQ(events[2].name, "inner");
-  ASSERT_EQ(events[2].args.size(), 1u);
-  EXPECT_EQ(events[2].args[0].first, "cache");
-  EXPECT_EQ(events[2].args[0].second, "miss");
-  EXPECT_EQ(events[3].name, "outer");
+  auto spans = trace.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "outer");
+  EXPECT_EQ(spans[1].name, "inner");
+  // One thread, one track; inner nests inside outer.
+  EXPECT_EQ(spans[0].thread, spans[1].thread);
+  EXPECT_EQ(spans[1].parent, spans[0].id);
+  EXPECT_GE(spans[1].start_us, spans[0].start_us);
+  EXPECT_LE(spans[1].end_us, spans[0].end_us);
+  // Args land on the close.
+  ASSERT_EQ(spans[1].args.size(), 1u);
+  EXPECT_EQ(spans[1].args[0].first, "cache");
+  EXPECT_EQ(spans[1].args[0].second, "miss");
+  EXPECT_TRUE(spans[0].args.empty());
 }
 
 TEST(Tracer, TimestampsAreMonotonicPerTrack) {
-  Tracer tracer;
-  for (int i = 0; i < 10; ++i) obs::TraceSpan span(obs::TraceContext(&tracer), "s", "test");
-  auto events = tracer.events_for_track(tracer.tracks()[0]);
-  for (std::size_t i = 1; i < events.size(); ++i)
-    EXPECT_GE(events[i].ts_micros, events[i - 1].ts_micros);
+  obs::Trace trace(0);
+  for (int i = 0; i < 10; ++i) obs::TraceSpan span(obs::TraceContext(&trace), "s", "test");
+  auto spans = trace.spans();
+  ASSERT_EQ(spans.size(), 10u);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_GT(spans[i].end_us, spans[i].start_us);
+    if (i > 0) {
+      EXPECT_GE(spans[i].start_us, spans[i - 1].start_us);
+    }
+  }
 }
 
 TEST(Tracer, NullTracerIsANoOp) {
-  Tracer* none = nullptr;
+  obs::Trace* none = nullptr;
   obs::TraceSpan span(obs::TraceContext(none), "ignored");
   span.arg("k", "v");
-  // Nothing to assert beyond "does not crash".
+  EXPECT_FALSE(span.active());
 }
 
 TEST(Tracer, CounterAndInstantEvents) {
-  Tracer tracer;
-  tracer.counter("queue", 3);
-  tracer.instant("deadlock", "sim", {{"benchmark", "x"}});
-  auto events = tracer.events_for_track(tracer.tracks()[0]);
+  obs::Trace trace(0);
+  trace.counter("queue", 3);
+  trace.instant("deadlock", "sim", {{"benchmark", "x"}});
+  EXPECT_TRUE(trace.spans().empty()) << "marks are not spans";
+  std::vector<const JsonValue*> events;
+  JsonValue doc = chrome_trace(trace);
+  for (const JsonValue& ev : doc.at("traceEvents").array)
+    if (ev.at("ph").string != "M") events.push_back(&ev);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].phase, TraceEvent::Phase::kCounter);
-  EXPECT_EQ(events[0].counter_value, 3);
-  EXPECT_EQ(events[1].phase, TraceEvent::Phase::kInstant);
+  EXPECT_EQ(events[0]->at("ph").string, "C");
+  EXPECT_EQ(events[0]->at("name").string, "queue");
+  EXPECT_EQ(events[0]->at("args").at("value").number, 3);
+  EXPECT_EQ(events[1]->at("ph").string, "i");
+  EXPECT_EQ(events[1]->at("args").at("benchmark").string, "x");
+}
+
+TEST(Tracer, CloseOpenEndsSpansInFlight) {
+  obs::Trace trace(0);
+  const std::uint64_t done = trace.begin("done", "test", 0);
+  trace.end(done);
+  const std::uint64_t open = trace.begin("open", "test", 0);
+  trace.close_open({{"flushed", "interrupted"}});
+  auto spans = trace.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_TRUE(spans[0].args.empty()) << "finished spans keep their args";
+  EXPECT_GT(spans[1].end_us, spans[1].start_us);
+  ASSERT_EQ(spans[1].args.size(), 1u);
+  EXPECT_EQ(spans[1].args[0].second, "interrupted");
+  // The span's own late close is ignored.
+  trace.end(open, {{"late", "true"}});
+  EXPECT_EQ(trace.spans()[1].args.size(), 1u);
 }
 
 // --- Chrome JSON schema under a multi-threaded batch ----------------------
 
-JsonValue traced_batch(Tracer& tracer) {
+JsonValue traced_batch(obs::Trace& trace) {
   const BuiltinBenchmark* b = find_builtin("mac_reduce");
   std::vector<FlowRequest> reqs;
   for (const char* script : {"lt", "gt2; gt5; lt", "gt1; gt2; gt4; gt2; gt5; lt"})
     reqs.push_back(make_builtin_request(*b, script));
   ThreadPool pool(4);
   FlowExecutor::Options opts;
-  opts.tracer = &tracer;
+  opts.tracer = &trace;
   FlowExecutor exec(&pool, opts);
   auto points = exec.run_all(reqs);
   for (const auto& p : points) EXPECT_TRUE(p.ok) << p.script << ": " << p.error;
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
-  return parse_json(os.str());
+  return chrome_trace(trace);
 }
 
 TEST(ChromeTrace, WellFormedWithBalancedSpansPerTrack) {
-  Tracer tracer;
-  JsonValue doc = traced_batch(tracer);
+  obs::Trace trace(0);
+  JsonValue doc = traced_batch(trace);
   ASSERT_TRUE(doc.is_object());
   const JsonValue& events = doc.at("traceEvents");
   ASSERT_TRUE(events.is_array());
   ASSERT_FALSE(events.array.empty());
 
-  std::map<int, int> depth;  // tid -> open span count
-  std::map<int, std::uint64_t> last_ts;
+  std::map<int, std::uint64_t> last_ts;  // tid -> last timestamp
+  std::set<std::uint64_t> span_ids, parents;
   for (const JsonValue& ev : events.array) {
     ASSERT_TRUE(ev.is_object());
     EXPECT_TRUE(ev.at("name").is_string());
-    EXPECT_TRUE(ev.at("ts").is_number());
     EXPECT_TRUE(ev.at("pid").is_number());
     const std::string& ph = ev.at("ph").string;
+    if (ph == "M") continue;
     int tid = static_cast<int>(ev.at("tid").number);
     auto ts = static_cast<std::uint64_t>(ev.at("ts").number);
     EXPECT_GE(ts, last_ts[tid]) << "time moved backwards on track " << tid;
     last_ts[tid] = ts;
-    if (ph == "B") ++depth[tid];
-    else if (ph == "E") {
-      --depth[tid];
-      EXPECT_GE(depth[tid], 0) << "end without begin on track " << tid;
+    if (ph == "X") {
+      // Only finished spans are exported, each with a duration.
+      EXPECT_GT(ev.at("dur").number, 0);
+      span_ids.insert(static_cast<std::uint64_t>(ev.at("args").at("span_id").number));
+      parents.insert(static_cast<std::uint64_t>(ev.at("args").at("parent_span_id").number));
     } else {
       EXPECT_TRUE(ph == "C" || ph == "i") << "unexpected phase " << ph;
     }
   }
-  for (const auto& [tid, d] : depth) EXPECT_EQ(d, 0) << "unbalanced track " << tid;
+  EXPECT_EQ(span_ids.size(), trace.spans().size()) << "an open span was exported";
+  for (std::uint64_t parent : parents)
+    EXPECT_TRUE(parent == 0 || span_ids.count(parent)) << "dangling parent " << parent;
 }
 
 TEST(ChromeTrace, StageSpansCarryCacheDisposition) {
-  Tracer tracer;
-  JsonValue doc = traced_batch(tracer);
+  obs::Trace trace(0);
+  JsonValue doc = traced_batch(trace);
   std::map<std::string, int> cache_args;  // "hit"/"miss" -> count
   std::map<std::string, int> span_names;
   for (const JsonValue& ev : doc.at("traceEvents").array) {
-    if (ev.at("ph").string == "B") ++span_names[ev.at("name").string];
-    if (ev.at("ph").string != "E") continue;
-    if (const JsonValue* args = ev.find("args"))
-      if (const JsonValue* cache = args->find("cache")) ++cache_args[cache->string];
+    if (ev.at("ph").string != "X") continue;
+    ++span_names[ev.at("name").string];
+    if (const JsonValue* cache = ev.at("args").find("cache")) ++cache_args[cache->string];
   }
   // Every flow stage appears as a span...
   for (const char* stage : {"flow.run", "frontend", "global", "controllers", "sim"})
@@ -146,8 +178,8 @@ TEST(ChromeTrace, StageSpansCarryCacheDisposition) {
 }
 
 TEST(ChromeTrace, GaugesAreSampledAsCounterEvents) {
-  Tracer tracer;
-  JsonValue doc = traced_batch(tracer);
+  obs::Trace trace(0);
+  JsonValue doc = traced_batch(trace);
   std::map<std::string, int> counters;
   for (const JsonValue& ev : doc.at("traceEvents").array) {
     if (ev.at("ph").string != "C") continue;
@@ -164,18 +196,23 @@ TEST(ChromeTrace, GaugesAreSampledAsCounterEvents) {
 // name -> the `cache` args ("" when absent) of every span of that name.
 using CacheArgs = std::map<std::string, std::multiset<std::string>>;
 
-std::string cache_arg_of(const std::vector<std::pair<std::string, std::string>>& args) {
-  for (const auto& [k, v] : args)
-    if (k == "cache") return v;
-  return "";
+CacheArgs cache_args_by_name(const obs::Trace& trace) {
+  CacheArgs out;
+  for (const obs::TraceSpanRecord& span : trace.spans()) {
+    std::string cache;
+    for (const auto& [k, v] : span.args)
+      if (k == "cache") cache = v;
+    out[span.name].insert(cache);
+  }
+  return out;
 }
 
 TEST(TelemetrySpine, EveryTimingsRowReachesEverySink) {
-  Tracer tracer;
+  obs::Trace process(0);
   FlowExecutor::Options opts;
-  opts.tracer = &tracer;
+  opts.tracer = &process;
   FlowExecutor exec(nullptr, opts);
-  auto job = std::make_shared<obs::JobTrace>(1);
+  auto job = std::make_shared<obs::Trace>(1);
   FlowRequest req = make_builtin_request(*find_builtin("mac_reduce"), "gt1; gt2; gt5; lt");
   req.trace = obs::TraceContext(job, 0);
   std::map<std::string, std::size_t> rows;  // name -> row count
@@ -191,19 +228,21 @@ TEST(TelemetrySpine, EveryTimingsRowReachesEverySink) {
   ASSERT_EQ(rows.size(), 4u);  // frontend, global, controllers, sim
   EXPECT_EQ(cached["frontend"], (std::multiset<bool>{false, true}));
 
-  CacheArgs process, per_job;
-  for (std::uint32_t track : tracer.tracks())
-    for (const TraceEvent& ev : tracer.events_for_track(track))
-      if (ev.phase == TraceEvent::Phase::kEnd) process[ev.name].insert(cache_arg_of(ev.args));
-  for (const obs::TraceSpanRecord& span : job->spans())
-    per_job[span.name].insert(cache_arg_of(span.args));
-
+  const CacheArgs per_process = cache_args_by_name(process);
+  const CacheArgs per_job = cache_args_by_name(*job);
   for (const auto& [name, count] : rows) {
-    EXPECT_EQ(process[name].size(), count) << name;
-    EXPECT_EQ(process[name], per_job[name]) << name;
+    EXPECT_EQ(per_process.at(name).size(), count) << name;
+    EXPECT_EQ(per_process.at(name), per_job.at(name)) << name;
     EXPECT_EQ(exec.metrics().histogram("stage." + name).snapshot().count, count) << name;
   }
-  EXPECT_EQ(process["frontend"], (std::multiset<std::string>{"hit", "miss"}));
+  EXPECT_EQ(per_process.at("frontend"), (std::multiset<std::string>{"hit", "miss"}));
+
+  // The process trace is a connected tree too: every parent resolves.
+  std::set<std::uint64_t> ids;
+  for (const obs::TraceSpanRecord& span : process.spans()) ids.insert(span.id);
+  for (const obs::TraceSpanRecord& span : process.spans())
+    EXPECT_TRUE(span.parent == 0 || ids.count(span.parent))
+        << span.name << " dangles under " << span.parent;
 }
 
 // --- structured logger ----------------------------------------------------

@@ -86,8 +86,8 @@ void check_trace(const std::string& path) {
     return;
   }
   if (events->array.empty()) fail(path + ": empty trace");
-  std::map<int, int> depth;
-  std::map<int, double> last_ts;
+  std::map<std::int64_t, int> depth;
+  std::map<std::int64_t, double> last_ts;
   std::size_t spans = 0;
   for (const JsonValue& ev : events->array) {
     for (const char* key : {"name", "ph", "pid", "tid"})
@@ -101,7 +101,12 @@ void check_trace(const std::string& path) {
       fail(path + ": event missing 'ts'");
       return;
     }
-    int tid = static_cast<int>(ev.at("tid").number);
+    const std::optional<std::int64_t> track = json_integer<std::int64_t>(ev.at("tid"));
+    if (!track) {
+      fail(path + ": tid is not an integer");
+      return;
+    }
+    const std::int64_t tid = *track;
     double ts = ev.at("ts").number;
     if (last_ts.count(tid) && ts < last_ts[tid])
       fail(path + ": time moved backwards on track " + std::to_string(tid));
