@@ -167,167 +167,132 @@ std::string to_json(const DseProfile& prof, bool pretty) {
 
 // --- validate --------------------------------------------------------------
 
-namespace {
-
-std::string str(const JsonValue& o, const char* k) {
-  const JsonValue* v = o.find(k);
-  return v && v->is_string() ? v->string : std::string();
-}
-
-// Member `k` of `o` as an integer of type T: 0 when absent, and a problem
-// when present but not an integer representable in T (casting such a
-// double would be undefined behaviour).
-template <class T>
-T integer(const JsonValue& o, const char* k, const std::string& where,
-          std::vector<std::string>& problems) {
-  const JsonValue* v = o.find(k);
-  if (!v) return 0;
-  if (std::optional<T> n = json_integer<T>(*v)) return *n;
-  problems.push_back(where + ": '" + k + "' is not an integer in range");
-  return 0;
-}
-
-}  // namespace
-
 std::vector<std::string> validate_dse_profile(const JsonValue& doc) {
   std::vector<std::string> problems;
-  auto bad = [&](const std::string& what) { problems.push_back(what); };
-  if (!doc.is_object()) return {"not a JSON object"};
-  if (str(doc, "kind") != kProfileKind)
-    bad("kind is not '" + std::string(kProfileKind) + "'");
-  if (integer<int>(doc, "version", "document", problems) != kProfileVersion)
-    bad("version is not " + std::to_string(kProfileVersion));
-  if (str(doc, "tool").empty()) bad("missing tool");
-  const JsonValue* pts = doc.find("points");
-  if (!pts || !pts->is_array()) {
-    bad("missing points array");
-    return problems;
-  }
+  JsonReader r(doc, "", problems);
+  if (!doc.is_object()) return problems;
+  if (r.required<std::string>("kind") != kProfileKind)
+    r.problem("kind is not '" + std::string(kProfileKind) + "'");
+  if (r.required<int>("version") != kProfileVersion)
+    r.problem("version is not " + std::to_string(kProfileVersion));
+  if (r.optional<std::string>("tool").value_or("").empty()) r.problem("missing tool");
+  const JsonValue* pts = r.array("points");
+  if (!pts) return problems;
 
   std::set<std::size_t> sim_ok;  // ok points with a cycle time
   std::size_t pos = 0;
   for (const JsonValue& o : pts->array) {
-    std::string where = "point " + std::to_string(pos);
+    const std::string where = "point " + std::to_string(pos);
+    JsonReader pr(o, where, problems);
     if (!o.is_object()) {
-      bad(where + ": not an object");
       ++pos;
       continue;
     }
     for (const char* key : {"benchmark", "script", "status"})
-      if (!o.find(key)) bad(where + ": missing '" + key + "'");
-    auto count = [&](const JsonValue& obj, const char* k) {
-      return integer<std::size_t>(obj, k, where, problems);
-    };
-    if (count(o, "index") != pos) bad(where + ": index does not match its position");
-    const bool ok = o.find("ok") && o.at("ok").boolean;
-    const auto cycle = integer<std::int64_t>(o, "cycle_time", where, problems);
-    const auto attributed = integer<std::int64_t>(o, "attributed", where, problems);
+      pr.required<std::string>(key);
+    if (pr.required<std::size_t>("index") != pos)
+      pr.problem("index does not match its position");
+    const bool ok = pr.required<bool>("ok");
+    const auto cycle = pr.required<std::int64_t>("cycle_time");
+    const auto attributed = pr.required<std::int64_t>("attributed");
     // The area books: per-controller transistor counts must match the
     // model (2/AND-literal + 2/OR-input + 8/state latch + 4/output keeper)
     // and the total must add the 6-transistor channel transition
     // detectors.  Re-derived here on purpose — an emitter bug cannot
     // validate its own arithmetic.
-    const JsonValue* area = o.find("area");
-    if (!area || !area->is_object()) {
-      bad(where + ": missing area block");
-    } else {
+    if (const JsonValue* area = pr.object("area")) {
+      JsonReader ar(*area, where + ": area", problems);
       std::size_t sum = 0;
-      if (const JsonValue* cs = area->find("controllers"); cs && cs->is_array())
+      if (const JsonValue* cs = ar.array("controllers"))
         for (const JsonValue& c : cs->array) {
-          std::size_t expect = 2 * count(c, "literals") + 2 * count(c, "products") +
-                               8 * count(c, "state_bits") + 4 * count(c, "outputs");
-          if (count(c, "transistors") != expect)
-            bad(where + ": controller '" + str(c, "name") +
-                "' transistors disagree with the area model");
+          JsonReader cr(c, where + ": controller", problems);
+          const std::string name = cr.required<std::string>("name");
+          std::size_t expect = 2 * cr.required<std::size_t>("literals") +
+                               2 * cr.required<std::size_t>("products") +
+                               8 * cr.required<std::size_t>("state_bits") +
+                               4 * cr.required<std::size_t>("outputs");
+          if (cr.required<std::size_t>("transistors") != expect)
+            pr.problem("controller '" + name +
+                       "' transistors disagree with the area model");
           sum += expect;
         }
-      sum += 6 * count(*area, "channels");
-      if (count(*area, "total_transistors") != sum)
-        bad(where + ": total_transistors does not sum controllers + wiring");
+      sum += 6 * ar.required<std::size_t>("channels");
+      if (ar.required<std::size_t>("total_transistors") != sum)
+        pr.problem("total_transistors does not sum controllers + wiring");
     }
-    if (const JsonValue* seg = o.find("segments")) {
-      if (!seg->is_object()) {
-        bad(where + ": segments is not an object");
-      } else {
-        std::int64_t phase_sum = 0;
-        if (const JsonValue* phases = seg->find("by_phase"); phases && phases->is_object())
-          for (const auto& [k, v] : phases->object) {
-            std::optional<std::int64_t> ticks = json_integer<std::int64_t>(v);
-            if (!ticks || __builtin_add_overflow(phase_sum, *ticks, &phase_sum))
-              bad(where + ": by_phase '" + k + "' is not an integer in range");
-          }
-        if (phase_sum != attributed)
-          bad(where + ": by_phase segments sum to " + std::to_string(phase_sum) +
-              ", not the attributed " + std::to_string(attributed));
-        if (attributed > cycle)
-          bad(where + ": attributed more than the cycle time");
-        if (ok && cycle > 0 &&
-            static_cast<double>(attributed) < 0.95 * static_cast<double>(cycle))
-          bad(where + ": ok point attributes < 95% of its cycle time");
-      }
+    if (const JsonValue* seg = pr.object("segments", false)) {
+      std::int64_t phase_sum = 0;
+      if (const JsonValue* phases =
+              JsonReader(*seg, where + ": segments", problems).object("by_phase"))
+        for (const auto& [k, v] : phases->object) {
+          std::optional<std::int64_t> ticks = json_integer<std::int64_t>(v);
+          if (!ticks || __builtin_add_overflow(phase_sum, *ticks, &phase_sum))
+            pr.problem("by_phase '" + k + "' is not an integer in range");
+        }
+      if (phase_sum != attributed)
+        pr.problem("by_phase segments sum to " + std::to_string(phase_sum) +
+                   ", not the attributed " + std::to_string(attributed));
+      if (attributed > cycle) pr.problem("attributed more than the cycle time");
+      if (ok && cycle > 0 &&
+          static_cast<double>(attributed) < 0.95 * static_cast<double>(cycle))
+        pr.problem("ok point attributes < 95% of its cycle time");
     }
     if (ok && cycle > 0) sim_ok.insert(pos);
     ++pos;
   }
 
-  const JsonValue* grid = doc.find("grid");
-  if (!grid || !grid->is_object()) {
-    bad("missing grid block");
-    return problems;
-  }
-  for (const char* kind : {"channels", "controllers"}) {
-    const JsonValue* bn = grid->find("bottlenecks");
-    const JsonValue* arr = bn ? bn->find(kind) : nullptr;
-    if (!arr || !arr->is_array()) {
-      bad(std::string("missing bottleneck ranking '") + kind + "'");
-      continue;
-    }
-    std::int64_t last = -1;
-    bool first = true;
-    for (const JsonValue& b : arr->array) {
-      auto t = integer<std::int64_t>(b, "ticks", "bottleneck", problems);
-      if (!first && t > last)
-        bad(std::string("bottleneck ranking '") + kind + "' is not descending");
-      last = t;
-      first = false;
+  const JsonValue* grid = r.object("grid");
+  if (!grid) return problems;
+  JsonReader gr(*grid, "grid", problems);
+  if (const JsonValue* bn = gr.object("bottlenecks")) {
+    JsonReader br(*bn, "grid: bottlenecks", problems);
+    for (const char* kind : {"channels", "controllers"}) {
+      const JsonValue* arr = br.array(kind);
+      if (!arr) continue;
+      std::int64_t last = -1;
+      bool first = true;
+      for (const JsonValue& b : arr->array) {
+        auto t = JsonReader(b, "bottleneck", problems).required<std::int64_t>("ticks");
+        if (!first && t > last)
+          br.problem(std::string("ranking '") + kind + "' is not descending");
+        last = t;
+        first = false;
+      }
     }
   }
   std::set<std::size_t> frontier;
-  if (const JsonValue* f = grid->find("frontier"); f && f->is_array()) {
+  if (const JsonValue* f = gr.array("frontier")) {
     for (const JsonValue& e : f->array) {
-      auto idx = integer<std::size_t>(e, "index", "frontier", problems);
+      auto idx = JsonReader(e, "frontier", problems).required<std::size_t>("index");
       if (!sim_ok.count(idx))
-        bad("frontier names point " + std::to_string(idx) +
-            ", which is not a simulated ok point");
+        gr.problem("frontier names point " + std::to_string(idx) +
+                   ", which is not a simulated ok point");
       frontier.insert(idx);
     }
-  } else {
-    bad("missing frontier array");
   }
   std::size_t dominated_count = 0;
-  if (const JsonValue* d = grid->find("dominated"); d && d->is_array()) {
+  if (const JsonValue* d = gr.array("dominated")) {
     for (const JsonValue& e : d->array) {
       ++dominated_count;
-      auto idx = integer<std::size_t>(e, "index", "dominated", problems);
-      auto by = integer<std::size_t>(e, "dominated_by", "dominated", problems);
+      JsonReader dr(e, "dominated", problems);
+      auto idx = dr.required<std::size_t>("index");
+      auto by = dr.required<std::size_t>("dominated_by");
       if (frontier.count(idx))
-        bad("point " + std::to_string(idx) + " is both frontier and dominated");
+        gr.problem("point " + std::to_string(idx) + " is both frontier and dominated");
       if (!frontier.count(by))
-        bad("point " + std::to_string(idx) + " dominated by " +
-            std::to_string(by) + ", which is not on the frontier");
+        gr.problem("point " + std::to_string(idx) + " dominated by " +
+                   std::to_string(by) + ", which is not on the frontier");
     }
   }
   if (frontier.size() + dominated_count != sim_ok.size())
-    bad("frontier + dominated do not partition the simulated ok points");
-  if (const JsonValue* s = grid->find("suggestions"); s && s->is_array()) {
+    gr.problem("frontier + dominated do not partition the simulated ok points");
+  if (const JsonValue* s = gr.array("suggestions")) {
     std::size_t rank = 1;
     for (const JsonValue& e : s->array) {
-      if (integer<std::size_t>(e, "rank", "suggestion", problems) != rank)
-        bad("suggestion ranks are not 1..k ascending");
+      if (JsonReader(e, "suggestion", problems).required<std::size_t>("rank") != rank)
+        gr.problem("suggestion ranks are not 1..k ascending");
       ++rank;
     }
-  } else {
-    bad("missing suggestions array");
   }
   return problems;
 }

@@ -23,8 +23,9 @@
 // Like the BENCH schema (perf/record.hpp), this header is deliberately
 // closed — emit (write_json) and validate (validate_dse_profile, what
 // `adc_obs_check --dse-profile` runs, the document's one reader) live
-// together — and deliberately light: it depends only on the JSON
-// reader/writer so adc_obs_check stays light.  The builder that fills it
+// together — and deliberately light: it depends only on the JSON writer
+// and the checked JsonReader (report/json_parse.hpp), through which the
+// validator reads every member, so adc_obs_check stays light.  The builder that fills it
 // from FlowPoints lives in analysis/build.hpp on top of the runtime.
 
 #include <cstddef>

@@ -138,48 +138,33 @@ std::vector<std::string> AccessLog::validate(const std::string& path,
       fail(std::string("bad JSON: ") + ex.what());
       continue;
     }
-    if (!doc.is_object()) {
-      fail("line is not a JSON object");
-      continue;
-    }
-    for (const char* req :
-         {"ts_ms", "event", "id", "trace_id", "class", "client", "bench",
-          "script", "status", "queue_wait_us", "service_us", "wall_ms",
-          "from_disk_cache", "result_bytes"}) {
-      if (!doc.find(req)) fail(std::string("missing member '") + req + "'");
-    }
-    const JsonValue* ev = doc.find("event");
-    if (ev && ev->is_string() && ev->string != "done" &&
-        ev->string != "rejected" && ev->string != "cancelled")
-      fail("unknown event '" + ev->string + "'");
-    const JsonValue* cls = doc.find("class");
-    if (cls && cls->is_string() && cls->string != "high" &&
-        cls->string != "normal" && cls->string != "low")
-      fail("unknown class '" + cls->string + "'");
-    if (ev && ev->is_string() && ev->string == "rejected" &&
-        !doc.find("retry_after_ms"))
-      fail("rejected entry missing retry_after_ms");
-    const JsonValue* ts = doc.find("ts_ms");
-    if (ts && ts->is_number()) {
+    JsonReader r(doc, path + ":" + std::to_string(lineno), problems);
+    if (!doc.is_object()) continue;
+    const std::string event = r.required<std::string>("event");
+    if (!event.empty() && event != "done" && event != "rejected" &&
+        event != "cancelled")
+      r.problem("unknown event '" + event + "'");
+    const std::string cls = r.required<std::string>("class");
+    if (!cls.empty() && cls != "high" && cls != "normal" && cls != "low")
+      r.problem("unknown class '" + cls + "'");
+    for (const char* key : {"client", "bench", "script", "status"})
+      r.required<std::string>(key);
+    for (const char* key :
+         {"id", "queue_wait_us", "service_us", "wall_ms", "result_bytes"})
+      r.required<std::uint64_t>(key);
+    r.required<bool>("from_disk_cache");
+    if (event == "rejected") r.required<std::uint64_t>("retry_after_ms");
+    if (const JsonValue* ts = r.member("ts_ms", JsonValue::Kind::kNumber)) {
       const std::optional<std::uint64_t> t = json_integer<std::uint64_t>(*ts);
       if (!t)
-        fail("ts_ms is not a non-negative integer");
+        r.problem("ts_ms is not a non-negative integer");
       else if (*t + 1000 < last_ts)
-        fail("timestamp went backwards by more than a second");
+        r.problem("timestamp went backwards by more than a second");
       last_ts = std::max(last_ts, t.value_or(0));
-    } else if (ts) {
-      fail("ts_ms is not a number");
     }
-    for (const char* num :
-         {"id", "queue_wait_us", "service_us", "wall_ms", "result_bytes"}) {
-      const JsonValue* v = doc.find(num);
-      if (v && !v->is_number())
-        fail(std::string("'") + num + "' is not a number");
-    }
-    const JsonValue* tr = doc.find("trace_id");
-    if (tr && tr->is_string() && !tr->string.empty() &&
-        tr->string.size() != 16)
-      fail("trace_id is not 16 hex characters");
+    const std::string trace_id = r.required<std::string>("trace_id");
+    if (!trace_id.empty() && trace_id.size() != 16)
+      r.problem("trace_id is not 16 hex characters");
   }
   if (lines_out) *lines_out = counted;
   return problems;

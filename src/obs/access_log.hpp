@@ -58,8 +58,9 @@ class AccessLog {
   void flush();
 
   // Parses a log file and returns problems (empty == valid).  Checks
-  // JSON well-formedness, required members, event/priority enums, and
-  // that every line carries a wall-clock timestamp.
+  // JSON well-formedness, every member append() writes with its type
+  // (counts as non-negative integers, read through JsonReader), the
+  // event/class enums, and that every line carries a wall-clock timestamp.
   static std::vector<std::string> validate(const std::string& path,
                                            std::uint64_t* lines_out = nullptr);
 

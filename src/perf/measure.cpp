@@ -130,44 +130,45 @@ namespace {
 
 // Everything the measurement thread touches, shared_ptr-owned so an
 // abandoned (detached) thread after a timeout never writes freed memory.
+// One slot per benchmark of the group.
 struct MeasureShared {
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
-  BenchContext ctx;
-  std::vector<double> wall, cpu;
+  std::vector<BenchContext> ctx;
+  std::vector<std::vector<double>> wall, cpu;
   bool failed = false;
   std::string error;
 };
 
 }  // namespace
 
-BenchRecord measure(const Benchmark& b, const MeasureOptions& opts) {
-  BenchRecord rec;
-  rec.suite = b.suite;
-  rec.name = b.name;
-  unsigned repeats = std::max(1u, opts.repeats);
-
+std::vector<BenchRecord> measure_group(const std::vector<Benchmark>& group,
+                                       const MeasureOptions& opts) {
+  const unsigned repeats = std::max(1u, opts.repeats);
   auto sh = std::make_shared<MeasureShared>();
-  sh->ctx.quick = opts.quick;
-  // The body runs on its own thread (copying the Benchmark — a detached
+  sh->ctx.resize(group.size());
+  for (BenchContext& ctx : sh->ctx) ctx.quick = opts.quick;
+  sh->wall.resize(group.size());
+  sh->cpu.resize(group.size());
+  // The bodies run on their own thread (copying the group — a detached
   // thread must not reference the caller's frame) so the harness can
-  // abandon it when the deadline fires.
-  Benchmark job = b;
-  std::thread worker([sh, job, opts, repeats] {
+  // abandon them when the deadline fires.
+  std::thread worker([sh, group, warmup = opts.warmup, repeats] {
     try {
-      for (unsigned i = 0; i < opts.warmup; ++i) job.run(sh->ctx);
-      sh->wall.reserve(repeats);
-      sh->cpu.reserve(repeats);
-      for (unsigned i = 0; i < repeats; ++i) {
-        sh->ctx.counters.clear();
-        sh->ctx.stages.clear();
-        std::uint64_t c0 = process_cpu_micros();
-        std::uint64_t w0 = wall_now_micros();
-        job.run(sh->ctx);
-        sh->wall.push_back(static_cast<double>(wall_now_micros() - w0));
-        sh->cpu.push_back(static_cast<double>(process_cpu_micros() - c0));
-      }
+      for (unsigned i = 0; i < warmup; ++i)
+        for (std::size_t k = 0; k < group.size(); ++k) group[k].run(sh->ctx[k]);
+      for (unsigned i = 0; i < repeats; ++i)
+        for (std::size_t k = 0; k < group.size(); ++k) {
+          BenchContext& ctx = sh->ctx[k];
+          ctx.counters.clear();
+          ctx.stages.clear();
+          const std::uint64_t c0 = process_cpu_micros();
+          const std::uint64_t w0 = wall_now_micros();
+          group[k].run(ctx);
+          sh->wall[k].push_back(static_cast<double>(wall_now_micros() - w0));
+          sh->cpu[k].push_back(static_cast<double>(process_cpu_micros() - c0));
+        }
     } catch (const std::exception& e) {
       sh->failed = true;
       sh->error = e.what();
@@ -190,145 +191,37 @@ BenchRecord measure(const Benchmark& b, const MeasureOptions& opts) {
                                  [&] { return sh->done; });
     }
   }
-  if (finished) {
-    worker.join();
-  } else {
-    // Hung benchmark: leave the thread behind (it owns `sh`) and report a
-    // structured timeout.  The zeroed stats satisfy the schema invariants.
-    worker.detach();
-    rec.repeats = 1;
-    rec.status = "timeout";
-    rec.error = "deadline exceeded after " + std::to_string(opts.deadline_ms) + " ms";
+  // A hung body leaves its thread behind (it owns `sh`).
+  if (finished) worker.join();
+  else worker.detach();
+
+  std::vector<BenchRecord> recs(group.size());
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    BenchRecord& rec = recs[k];
+    rec.suite = group[k].suite;
+    rec.name = group[k].name;
     rec.peak_rss_kb = peak_rss_kb();
-    return rec;
+    if (!finished || sh->failed) {
+      // A structured failure for every record of the group; the zeroed
+      // stats satisfy the schema invariants.
+      rec.repeats = 1;
+      rec.status = finished ? "error" : "timeout";
+      rec.error = finished ? sh->error
+                           : "deadline exceeded after " +
+                                 std::to_string(opts.deadline_ms) + " ms";
+      continue;
+    }
+    rec.repeats = repeats;
+    rec.wall_us = stat_from_samples(std::move(sh->wall[k]), opts.trim_outliers);
+    rec.cpu_us = stat_from_samples(std::move(sh->cpu[k]), opts.trim_outliers);
+    rec.counters = std::move(sh->ctx[k].counters);
+    rec.stages = std::move(sh->ctx[k].stages);
   }
-  if (sh->failed) {
-    rec.repeats = 1;
-    rec.status = "error";
-    rec.error = sh->error;
-    rec.peak_rss_kb = peak_rss_kb();
-    return rec;
-  }
-  rec.repeats = repeats;
-  rec.wall_us = stat_from_samples(std::move(sh->wall), opts.trim_outliers);
-  rec.cpu_us = stat_from_samples(std::move(sh->cpu), opts.trim_outliers);
-  rec.peak_rss_kb = peak_rss_kb();
-  rec.counters = std::move(sh->ctx.counters);
-  rec.stages = std::move(sh->ctx.stages);
-  return rec;
+  return recs;
 }
 
-namespace {
-
-// Everything the paired measurement thread touches; same ownership story
-// as MeasureShared.
-struct PairShared {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  BenchContext ctx_a, ctx_b;
-  std::vector<double> wall_a, cpu_a, wall_b, cpu_b;
-  bool failed = false;
-  std::string error;
-};
-
-}  // namespace
-
-std::pair<BenchRecord, BenchRecord> measure_interleaved(
-    const Benchmark& a, const Benchmark& b, const MeasureOptions& opts) {
-  BenchRecord ra, rb;
-  ra.suite = a.suite;
-  ra.name = a.name;
-  rb.suite = b.suite;
-  rb.name = b.name;
-  unsigned repeats = std::max(1u, opts.repeats);
-
-  auto sh = std::make_shared<PairShared>();
-  sh->ctx_a.quick = opts.quick;
-  sh->ctx_b.quick = opts.quick;
-  Benchmark job_a = a, job_b = b;
-  std::thread worker([sh, job_a, job_b, opts, repeats] {
-    try {
-      for (unsigned i = 0; i < opts.warmup; ++i) {
-        job_a.run(sh->ctx_a);
-        job_b.run(sh->ctx_b);
-      }
-      sh->wall_a.reserve(repeats);
-      sh->cpu_a.reserve(repeats);
-      sh->wall_b.reserve(repeats);
-      sh->cpu_b.reserve(repeats);
-      for (unsigned i = 0; i < repeats; ++i) {
-        sh->ctx_a.counters.clear();
-        sh->ctx_a.stages.clear();
-        std::uint64_t c0 = process_cpu_micros();
-        std::uint64_t w0 = wall_now_micros();
-        job_a.run(sh->ctx_a);
-        sh->wall_a.push_back(static_cast<double>(wall_now_micros() - w0));
-        sh->cpu_a.push_back(static_cast<double>(process_cpu_micros() - c0));
-        sh->ctx_b.counters.clear();
-        sh->ctx_b.stages.clear();
-        c0 = process_cpu_micros();
-        w0 = wall_now_micros();
-        job_b.run(sh->ctx_b);
-        sh->wall_b.push_back(static_cast<double>(wall_now_micros() - w0));
-        sh->cpu_b.push_back(static_cast<double>(process_cpu_micros() - c0));
-      }
-    } catch (const std::exception& e) {
-      sh->failed = true;
-      sh->error = e.what();
-    } catch (...) {
-      sh->failed = true;
-      sh->error = "unknown exception";
-    }
-    std::lock_guard<std::mutex> lk(sh->mu);
-    sh->done = true;
-    sh->cv.notify_all();
-  });
-
-  bool finished = true;
-  {
-    std::unique_lock<std::mutex> lk(sh->mu);
-    if (opts.deadline_ms == 0) {
-      sh->cv.wait(lk, [&] { return sh->done; });
-    } else {
-      finished = sh->cv.wait_for(lk, std::chrono::milliseconds(opts.deadline_ms),
-                                 [&] { return sh->done; });
-    }
-  }
-  if (!finished) {
-    worker.detach();
-    for (BenchRecord* r : {&ra, &rb}) {
-      r->repeats = 1;
-      r->status = "timeout";
-      r->error =
-          "deadline exceeded after " + std::to_string(opts.deadline_ms) + " ms";
-      r->peak_rss_kb = peak_rss_kb();
-    }
-    return {std::move(ra), std::move(rb)};
-  }
-  worker.join();
-  if (sh->failed) {
-    for (BenchRecord* r : {&ra, &rb}) {
-      r->repeats = 1;
-      r->status = "error";
-      r->error = sh->error;
-      r->peak_rss_kb = peak_rss_kb();
-    }
-    return {std::move(ra), std::move(rb)};
-  }
-  ra.repeats = repeats;
-  ra.wall_us = stat_from_samples(std::move(sh->wall_a), opts.trim_outliers);
-  ra.cpu_us = stat_from_samples(std::move(sh->cpu_a), opts.trim_outliers);
-  ra.peak_rss_kb = peak_rss_kb();
-  ra.counters = std::move(sh->ctx_a.counters);
-  ra.stages = std::move(sh->ctx_a.stages);
-  rb.repeats = repeats;
-  rb.wall_us = stat_from_samples(std::move(sh->wall_b), opts.trim_outliers);
-  rb.cpu_us = stat_from_samples(std::move(sh->cpu_b), opts.trim_outliers);
-  rb.peak_rss_kb = peak_rss_kb();
-  rb.counters = std::move(sh->ctx_b.counters);
-  rb.stages = std::move(sh->ctx_b.stages);
-  return {std::move(ra), std::move(rb)};
+BenchRecord measure(const Benchmark& b, const MeasureOptions& opts) {
+  return measure_group({b}, opts).front();
 }
 
 BenchReport run_registered(const std::vector<std::string>& suites,

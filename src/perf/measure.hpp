@@ -74,10 +74,11 @@ struct MeasureOptions {
   unsigned repeats = 9;
   bool trim_outliers = true;
   bool quick = false;  // forwarded into BenchContext
-  // Wall budget for one benchmark (warmup + all repeats together); 0 =
-  // unlimited.  A benchmark that overruns is abandoned on a detached
-  // thread and recorded with status="timeout" and zeroed statistics, so a
-  // hung suite cannot wedge the harness — the remaining suites still run.
+  // Wall budget for one measure_group call (warmup + all repeats
+  // together); 0 = unlimited.  A group that overruns is abandoned on a
+  // detached thread and recorded with status="timeout" and zeroed
+  // statistics, so a hung suite cannot wedge the harness — the remaining
+  // suites still run.
   std::uint64_t deadline_ms = 600000;
   // Invoked by run_registered after every completed benchmark with the
   // report accumulated so far (env/policy already filled).  adc_bench
@@ -94,25 +95,25 @@ struct MeasureOptions {
   }
 };
 
-// Warmup + timed repeats of one benchmark.
-BenchRecord measure(const Benchmark& b, const MeasureOptions& opts);
+// Warmup + timed repeats of a group of benchmarks: the warmups alternate
+// (a, b, a, b, ...), then each round times one iteration of every
+// benchmark in order.  A group of two is how ratio gates are measured:
+// slow in-process drift — allocator growth, CPU frequency, cache state —
+// then lands on both sides of the ratio equally rather than on whichever
+// benchmark happens to run later, which is worth several percent of
+// systematic skew on a busy 1-core container.  opts.deadline_ms bounds the
+// whole group; a timeout or exception marks every record of it.
+std::vector<BenchRecord> measure_group(const std::vector<Benchmark>& group,
+                                       const MeasureOptions& opts);
 
-// Paired measurement for cross-benchmark ratio gates: alternates one timed
-// iteration of `a` and one of `b` per round (after alternating warmups)
-// instead of running each benchmark's repeats back to back.  Slow in-process
-// drift — allocator growth, CPU frequency, cache state — then lands on both
-// sides of the ratio equally rather than on whichever benchmark happens to
-// run later, which is worth several percent of systematic skew on a busy
-// 1-core container.  opts.deadline_ms bounds the whole pair; a timeout or
-// exception marks both records.
-std::pair<BenchRecord, BenchRecord> measure_interleaved(
-    const Benchmark& a, const Benchmark& b, const MeasureOptions& opts);
+// measure_group of one benchmark.
+BenchRecord measure(const Benchmark& b, const MeasureOptions& opts);
 
 // Measures every registered benchmark whose suite is in `suites` (empty =
 // all) and whose name contains `filter` (empty = all), in registration
 // order, into a complete report (env + policy filled in).  Benchmarks named
-// in `exclude` are skipped — adc_bench measures its --ratio pairs through
-// measure_interleaved instead and must not time them twice.
+// in `exclude` are skipped — adc_bench measures its --ratio pairs as
+// groups of two instead and must not time them twice.
 BenchReport run_registered(const std::vector<std::string>& suites,
                            const std::string& filter, const MeasureOptions& opts,
                            const std::string& tool = "adc_bench",

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
-#include <stdexcept>
 
 #include "report/json.hpp"
 #include "report/json_parse.hpp"
@@ -129,84 +128,107 @@ std::string to_json(const BenchReport& rep, bool pretty) {
 
 namespace {
 
-double num(const JsonValue& v, const char* key) {
-  const JsonValue* m = v.find(key);
-  if (!m || !m->is_number())
-    throw std::runtime_error(std::string("bench json: missing number '") + key + "'");
-  return m->number;
-}
-
-std::string str(const JsonValue& v, const char* key) {
-  const JsonValue* m = v.find(key);
-  if (!m || !m->is_string())
-    throw std::runtime_error(std::string("bench json: missing string '") + key + "'");
-  return m->string;
-}
-
-Stat parse_stat(const JsonValue& v) {
+Stat read_stat(const JsonReader& bench, const char* name,
+               const std::string& label, std::vector<std::string>& problems) {
   Stat s;
-  s.p50 = num(v, "p50");
-  s.p90 = num(v, "p90");
-  s.p99 = num(v, "p99");
-  s.mean = num(v, "mean");
-  s.min = num(v, "min");
-  s.max = num(v, "max");
+  const JsonValue* v = bench.object(name);
+  if (!v) return s;
+  JsonReader r(*v, label + ": " + name, problems);
+  const std::size_t before = problems.size();
+  for (auto [key, field] : {std::pair{"p50", &s.p50}, std::pair{"p90", &s.p90},
+                            std::pair{"p99", &s.p99}, std::pair{"mean", &s.mean},
+                            std::pair{"min", &s.min}, std::pair{"max", &s.max}}) {
+    *field = r.required<double>(key);
+    if (*field < 0) r.problem(std::string(key) + " is negative");
+  }
+  if (problems.size() != before) return s;
+  if (s.p50 > s.p90) r.problem("p50 > p90");
+  if (s.p90 > s.p99) r.problem("p90 > p99");
+  if (s.min > s.p50) r.problem("min > p50");
+  if (s.p99 > s.max) r.problem("p99 > max");
   return s;
+}
+
+// The one reading of the schema: every member, type and invariant, with
+// each defect appended to `problems`.
+BenchReport read_bench_report(const JsonValue& doc,
+                              std::vector<std::string>& problems) {
+  BenchReport rep;
+  JsonReader r(doc, "", problems);
+  if (r.required<std::string>("kind") != kBenchKind)
+    r.problem("kind is not '" + std::string(kBenchKind) + "'");
+  rep.version = r.required<int>("version");
+  if (rep.version != kBenchVersion)
+    r.problem("version is not " + std::to_string(kBenchVersion));
+  rep.tool = r.required<std::string>("tool");
+  if (const JsonValue* env = r.object("env")) {
+    JsonReader e(*env, "env", problems);
+    rep.env.git_sha = e.required<std::string>("git_sha");
+    rep.env.compiler = e.required<std::string>("compiler");
+    rep.env.flags = e.required<std::string>("flags");
+    rep.env.build_type = e.required<std::string>("build_type");
+    rep.env.os = e.required<std::string>("os");
+    rep.env.timestamp = e.required<std::string>("timestamp");
+    rep.env.cores = e.required<unsigned>("cores");
+    if (rep.env.cores < 1) e.problem("cores < 1");
+  }
+  if (const JsonValue* pol = r.object("policy")) {
+    JsonReader p(*pol, "policy", problems);
+    rep.policy.warmup = p.required<unsigned>("warmup");
+    rep.policy.repeats = p.required<unsigned>("repeats");
+    rep.policy.trim_outliers = p.required<bool>("trim_outliers");
+    rep.policy.quick = p.required<bool>("quick");
+  }
+  const JsonValue* benches = r.array("benchmarks");
+  if (!benches) return rep;
+  if (benches->array.empty()) r.problem("benchmarks array is empty");
+  std::set<std::string> names;
+  for (const JsonValue& b : benches->array) {
+    BenchRecord rec;
+    JsonReader br(b, "benchmark", problems);
+    rec.name = br.required<std::string>("name");
+    if (!rec.name.empty()) {
+      if (!names.insert(rec.name).second)
+        br.problem("duplicate benchmark '" + rec.name + "'");
+      br = JsonReader(b, rec.name, problems);
+    }
+    const std::string label = rec.name.empty() ? "benchmark" : rec.name;
+    rec.suite = br.required<std::string>("suite");
+    rec.repeats = br.required<std::uint64_t>("repeats");
+    if (rec.repeats < 1) br.problem("repeats < 1");
+    rec.wall_us = read_stat(br, "wall_us", label, problems);
+    rec.cpu_us = read_stat(br, "cpu_us", label, problems);
+    rec.peak_rss_kb = br.required<std::int64_t>("peak_rss_kb");
+    if (rec.peak_rss_kb < 0) br.problem("peak_rss_kb missing or negative");
+    rec.status = br.optional<std::string>("status").value_or("ok");
+    if (rec.status != "ok" && rec.status != "timeout" && rec.status != "error")
+      br.problem("status is not ok/timeout/error");
+    rec.error = br.optional<std::string>("error").value_or("");
+    if (const JsonValue* c = br.object("counters", false)) {
+      JsonReader cr(*c, label + ": counters", problems);
+      for (const auto& [k, v] : c->object) rec.counters[k] = cr.required<double>(k.c_str());
+    }
+    if (const JsonValue* st = br.array("stages", false))
+      for (const JsonValue& s : st->array) {
+        JsonReader sr(s, label + ": stage", problems);
+        BenchStage stage;
+        stage.stage = sr.required<std::string>("stage");
+        stage.us = sr.required<std::uint64_t>("us");
+        stage.cpu_us = sr.required<std::uint64_t>("cpu_us");
+        stage.cached = sr.required<bool>("cached");
+        rec.stages.push_back(std::move(stage));
+      }
+    rep.benchmarks.push_back(std::move(rec));
+  }
+  return rep;
 }
 
 }  // namespace
 
 BenchReport parse_bench_report(const JsonValue& doc) {
-  if (!doc.is_object()) throw std::runtime_error("bench json: not an object");
-  if (str(doc, "kind") != kBenchKind)
-    throw std::runtime_error("bench json: kind is not '" + std::string(kBenchKind) + "'");
-  BenchReport rep;
-  rep.version = static_cast<int>(num(doc, "version"));
-  if (rep.version != kBenchVersion)
-    throw std::runtime_error("bench json: unsupported version " +
-                             std::to_string(rep.version));
-  rep.tool = str(doc, "tool");
-  const JsonValue& env = doc.at("env");
-  rep.env.git_sha = str(env, "git_sha");
-  rep.env.compiler = str(env, "compiler");
-  rep.env.flags = str(env, "flags");
-  rep.env.build_type = str(env, "build_type");
-  rep.env.os = str(env, "os");
-  rep.env.timestamp = str(env, "timestamp");
-  rep.env.cores = static_cast<unsigned>(num(env, "cores"));
-  const JsonValue& pol = doc.at("policy");
-  rep.policy.warmup = static_cast<unsigned>(num(pol, "warmup"));
-  rep.policy.repeats = static_cast<unsigned>(num(pol, "repeats"));
-  rep.policy.trim_outliers = pol.at("trim_outliers").boolean;
-  rep.policy.quick = pol.at("quick").boolean;
-  const JsonValue* benches = doc.find("benchmarks");
-  if (!benches || !benches->is_array())
-    throw std::runtime_error("bench json: missing benchmarks array");
-  for (const JsonValue& b : benches->array) {
-    BenchRecord r;
-    r.name = str(b, "name");
-    r.suite = str(b, "suite");
-    r.repeats = static_cast<std::uint64_t>(num(b, "repeats"));
-    r.wall_us = parse_stat(b.at("wall_us"));
-    r.cpu_us = parse_stat(b.at("cpu_us"));
-    r.peak_rss_kb = static_cast<std::int64_t>(num(b, "peak_rss_kb"));
-    if (const JsonValue* s = b.find("status"); s && s->is_string())
-      r.status = s->string;
-    if (const JsonValue* e = b.find("error"); e && e->is_string())
-      r.error = e->string;
-    if (const JsonValue* c = b.find("counters"); c && c->is_object())
-      for (const auto& [k, v] : c->object) r.counters[k] = v.number;
-    if (const JsonValue* st = b.find("stages"); st && st->is_array())
-      for (const JsonValue& s : st->array) {
-        BenchStage stage;
-        stage.stage = str(s, "stage");
-        stage.us = static_cast<std::uint64_t>(num(s, "us"));
-        stage.cpu_us = static_cast<std::uint64_t>(num(s, "cpu_us"));
-        stage.cached = s.at("cached").boolean;
-        r.stages.push_back(std::move(stage));
-      }
-    rep.benchmarks.push_back(std::move(r));
-  }
+  std::vector<std::string> problems;
+  BenchReport rep = read_bench_report(doc, problems);
+  throw_if_problems("bench json", problems);
   return rep;
 }
 
@@ -216,97 +238,7 @@ BenchReport parse_bench_report(const std::string& text) {
 
 std::vector<std::string> validate_bench_json(const JsonValue& doc) {
   std::vector<std::string> problems;
-  auto bad = [&](const std::string& what) { problems.push_back(what); };
-  if (!doc.is_object()) {
-    bad("document is not an object");
-    return problems;
-  }
-  const JsonValue* kind = doc.find("kind");
-  if (!kind || !kind->is_string() || kind->string != kBenchKind)
-    bad("kind is not 'adc-bench'");
-  const JsonValue* ver = doc.find("version");
-  if (!ver || json_integer<int>(*ver) != kBenchVersion)
-    bad("version is not " + std::to_string(kBenchVersion));
-  for (const char* k : {"tool", "env", "policy"})
-    if (!doc.find(k)) bad(std::string("missing '") + k + "'");
-  if (const JsonValue* env = doc.find("env"); env && env->is_object()) {
-    for (const char* k :
-         {"git_sha", "compiler", "flags", "build_type", "os", "timestamp", "cores"})
-      if (!env->find(k)) bad(std::string("env missing '") + k + "'");
-    if (const JsonValue* c = env->find("cores"); c && c->is_number() && c->number < 1)
-      bad("env.cores < 1");
-  }
-  // The members parse_bench_report requires, so a file this passes also
-  // loads into adc_bench --diff.
-  if (const JsonValue* pol = doc.find("policy")) {
-    for (const char* k : {"warmup", "repeats"})
-      if (const JsonValue* m = pol->find(k); !m || !m->is_number())
-        bad(std::string("policy missing number '") + k + "'");
-    for (const char* k : {"trim_outliers", "quick"})
-      if (const JsonValue* m = pol->find(k); !m || !m->is_bool())
-        bad(std::string("policy missing boolean '") + k + "'");
-  }
-  const JsonValue* benches = doc.find("benchmarks");
-  if (!benches || !benches->is_array()) {
-    bad("missing benchmarks array");
-    return problems;
-  }
-  if (benches->array.empty()) bad("benchmarks array is empty");
-  std::set<std::string> names;
-  for (const JsonValue& b : benches->array) {
-    const JsonValue* name = b.find("name");
-    std::string label =
-        name && name->is_string() ? name->string : "<unnamed benchmark>";
-    if (!name || !name->is_string()) bad("benchmark missing 'name'");
-    else if (!names.insert(name->string).second) bad("duplicate benchmark '" + label + "'");
-    if (!b.find("suite")) bad(label + ": missing 'suite'");
-    const JsonValue* reps = b.find("repeats");
-    if (!reps || !reps->is_number() || reps->number < 1)
-      bad(label + ": repeats < 1");
-    for (const char* stat : {"wall_us", "cpu_us"}) {
-      const JsonValue* s = b.find(stat);
-      if (!s || !s->is_object()) {
-        bad(label + ": missing '" + stat + "'");
-        continue;
-      }
-      bool complete = true;
-      for (const char* k : {"p50", "p90", "p99", "mean", "min", "max"}) {
-        const JsonValue* m = s->find(k);
-        if (!m || !m->is_number()) {
-          bad(label + ": " + stat + " missing '" + k + "'");
-          complete = false;
-        } else if (m->number < 0) {
-          bad(label + ": " + stat + "." + k + " is negative");
-        }
-      }
-      if (!complete) continue;
-      double p50 = s->at("p50").number, p90 = s->at("p90").number,
-             p99 = s->at("p99").number, mn = s->at("min").number,
-             mx = s->at("max").number;
-      if (p50 > p90) bad(label + ": " + stat + " p50 > p90");
-      if (p90 > p99) bad(label + ": " + stat + " p90 > p99");
-      if (mn > p50) bad(label + ": " + stat + " min > p50");
-      if (p99 > mx) bad(label + ": " + stat + " p99 > max");
-    }
-    if (const JsonValue* rss = b.find("peak_rss_kb");
-        !rss || !rss->is_number() || rss->number < 0)
-      bad(label + ": peak_rss_kb missing or negative");
-    if (const JsonValue* st = b.find("status")) {
-      if (!st->is_string() ||
-          (st->string != "ok" && st->string != "timeout" && st->string != "error"))
-        bad(label + ": status is not ok/timeout/error");
-    }
-    if (const JsonValue* st = b.find("stages"); st && st->is_array())
-      for (const JsonValue& s : st->array) {
-        if (const JsonValue* n = s.find("stage"); !n || !n->is_string())
-          bad(label + ": stage missing string 'stage'");
-        for (const char* k : {"us", "cpu_us"})
-          if (const JsonValue* m = s.find(k); !m || !m->is_number())
-            bad(label + ": stage missing number '" + k + "'");
-        if (const JsonValue* c = s.find("cached"); !c || !c->is_bool())
-          bad(label + ": stage missing boolean 'cached'");
-      }
-  }
+  read_bench_report(doc, problems);
   return problems;
 }
 

@@ -14,7 +14,10 @@
 // The schema is deliberately closed: emit (write_json), parse
 // (parse_bench_report), validate (validate_bench_json — what
 // `adc_obs_check --bench` runs) and compare (compare_reports) all live
-// here, so a file the validator passes also loads for `adc_bench --diff`.
+// here.  Parse and validate are one reading of the schema through the
+// checked JsonReader (report/json_parse.hpp): validate returns its
+// problems, parse throws them, so `adc_bench --diff` loads exactly the
+// files the validator passes.
 
 #include <cstdint>
 #include <map>
@@ -113,13 +116,16 @@ void write_json(JsonWriter& w, const BenchRecord& r);
 void write_json(JsonWriter& w, const BenchReport& rep);
 std::string to_json(const BenchReport& rep, bool pretty = true);
 
-// Parses a BENCH document; throws std::runtime_error on schema violations
-// (wrong kind/version, missing members, malformed statistics).
+// Parses a BENCH document; throws std::runtime_error listing every problem
+// validate_bench_json would report.
 BenchReport parse_bench_report(const JsonValue& doc);
 BenchReport parse_bench_report(const std::string& text);
 
 // Schema + internal-consistency check without throwing: every problem as
-// one line (empty = valid).  This is what `adc_obs_check --bench` prints.
+// one line (empty = valid).  Beyond member types it checks kind and
+// version, cores >= 1, repeats >= 1, non-negative statistics and RSS,
+// p50 <= p90 <= p99 with min <= p50 and p99 <= max, unique benchmark names
+// and the status enum.  This is what `adc_obs_check --bench` prints.
 std::vector<std::string> validate_bench_json(const JsonValue& doc);
 
 // --- baseline comparison ---------------------------------------------------

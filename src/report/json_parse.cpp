@@ -25,6 +25,54 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 
 namespace {
 
+const char* kind_name(JsonValue::Kind kind) {
+  switch (kind) {
+    case JsonValue::Kind::kNull: return "null";
+    case JsonValue::Kind::kBool: return "boolean";
+    case JsonValue::Kind::kNumber: return "number";
+    case JsonValue::Kind::kString: return "string";
+    case JsonValue::Kind::kArray: return "array";
+    case JsonValue::Kind::kObject: return "object";
+  }
+  return "value";
+}
+
+}  // namespace
+
+JsonReader::JsonReader(const JsonValue& obj, std::string where,
+                       std::vector<std::string>& problems)
+    : obj_(obj.is_object() ? &obj : nullptr),
+      where_(std::move(where)),
+      problems_(&problems) {
+  if (!obj_) problem("not an object");
+}
+
+const JsonValue* JsonReader::member(const char* key, JsonValue::Kind kind,
+                                    bool required) const {
+  if (!obj_) return nullptr;
+  const JsonValue* v = obj_->find(key);
+  if (v && v->kind == kind) return v;
+  if (v || required)
+    problems_->push_back((where_.empty() ? "" : where_ + " ") + "missing " +
+                         kind_name(kind) + " '" + key + "'");
+  return nullptr;
+}
+
+void JsonReader::problem(const std::string& what) const {
+  problems_->push_back(where_.empty() ? what : where_ + ": " + what);
+}
+
+void throw_if_problems(const std::string& what,
+                       const std::vector<std::string>& problems) {
+  if (problems.empty()) return;
+  std::string text = what + ": ";
+  for (std::size_t i = 0; i < problems.size(); ++i)
+    text += (i ? "; " : "") + problems[i];
+  throw std::runtime_error(text);
+}
+
+namespace {
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}

@@ -1,8 +1,9 @@
 #pragma once
 // Minimal recursive-descent JSON parser (DOM).  The inverse of
-// report/json.hpp's writer, used where the toolchain must validate its own
-// machine-readable artifacts: the trace/provenance schema tests and the
-// adc_obs_check CI validator.  Not a general-purpose parser — no streaming,
+// report/json.hpp's writer, used where the toolchain reads or validates its
+// own machine-readable artifacts: BENCH reports, disk-cached FlowPoints,
+// dse profiles, access logs, traces and daemon replies, all through the
+// checked JsonReader below.  Not a general-purpose parser — no streaming,
 // no \uXXXX surrogate pairs beyond the BMP, numbers land in a double.
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -53,6 +55,77 @@ std::optional<T> json_integer(const JsonValue& v) {
     return std::nullopt;
   return static_cast<T>(v.number);
 }
+
+// Reads the members of one JSON object by type and records each defect as
+// one line in a caller-owned problem list, so a validator reports every
+// problem of a document and a parser throws them all together
+// (throw_if_problems).  A required member that is absent, or any member
+// of another kind, reads "<where> missing <type> '<key>'"; an integer
+// that is no value of T (see json_integer) "<where>: '<key>' is not an
+// integer in range"; a caller's own check, through problem(),
+// "<where>: <what>".  An empty `where` drops the prefix.  A value that is
+// not an object is one problem, and every read from it is then silent.  A
+// failed read returns T{} (nullptr for object/array), so reading goes on
+// and the problems accumulate.
+class JsonReader {
+ public:
+  JsonReader(const JsonValue& obj, std::string where,
+             std::vector<std::string>& problems);
+
+  // The member `key` of the given kind, or nullptr: absent (a problem only
+  // if `required`) or of another kind (always a problem).
+  const JsonValue* member(const char* key, JsonValue::Kind kind,
+                          bool required = true) const;
+  const JsonValue* object(const char* key, bool required = true) const {
+    return member(key, JsonValue::Kind::kObject, required);
+  }
+  const JsonValue* array(const char* key, bool required = true) const {
+    return member(key, JsonValue::Kind::kArray, required);
+  }
+
+  // T is std::string, bool, double or an integer type.
+  template <class T>
+  T required(const char* key) const {
+    return read<T>(key, true).value_or(T{});
+  }
+  template <class T>
+  std::optional<T> optional(const char* key) const {
+    return read<T>(key, false);
+  }
+
+  void problem(const std::string& what) const;
+
+ private:
+  template <class T>
+  std::optional<T> read(const char* key, bool required) const {
+    if constexpr (std::is_same_v<T, std::string>) {
+      const JsonValue* v = member(key, JsonValue::Kind::kString, required);
+      return v ? std::optional<T>(v->string) : std::nullopt;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      const JsonValue* v = member(key, JsonValue::Kind::kBool, required);
+      return v ? std::optional<T>(v->boolean) : std::nullopt;
+    } else if constexpr (std::is_same_v<T, double>) {
+      const JsonValue* v = member(key, JsonValue::Kind::kNumber, required);
+      return v ? std::optional<T>(v->number) : std::nullopt;
+    } else {
+      static_assert(std::is_integral_v<T>, "JsonReader reads strings, bools and numbers");
+      const JsonValue* v = member(key, JsonValue::Kind::kNumber, required);
+      if (!v) return std::nullopt;
+      std::optional<T> n = json_integer<T>(*v);
+      if (!n) problem(std::string("'") + key + "' is not an integer in range");
+      return n;
+    }
+  }
+
+  const JsonValue* obj_;  // null when the value was not an object
+  std::string where_;
+  std::vector<std::string>* problems_;
+};
+
+// Throws std::runtime_error("<what>: <p1>; <p2>; ...") unless `problems`
+// is empty.
+void throw_if_problems(const std::string& what,
+                       const std::vector<std::string>& problems);
 
 // Parses one JSON document; trailing non-whitespace is an error.  Throws
 // std::runtime_error with a byte offset on malformed input.

@@ -710,64 +710,65 @@ std::string to_json(const FlowPoint& p) {
 }
 
 FlowPoint parse_flow_point(const std::string& json) {
-  JsonValue doc = parse_json(json);
-  if (!doc.is_object()) throw std::runtime_error("flow point: not an object");
-  auto num = [&](const JsonValue& o, const char* k) -> double {
-    const JsonValue* v = o.find(k);
-    return v && v->is_number() ? v->number : 0.0;
-  };
+  const JsonValue doc = parse_json(json);
+  std::vector<std::string> problems;
+  JsonReader r(doc, "", problems);
   FlowPoint p;
-  p.benchmark = doc.at("benchmark").string;
-  p.script = doc.at("script").string;
-  p.ok = doc.at("ok").boolean;
-  std::string status = doc.at("status").string;
-  if (status == "ok") p.status = FlowStatus::kOk;
-  else if (status == "deadlock") p.status = FlowStatus::kDeadlock;
-  else if (status == "timeout") p.status = FlowStatus::kTimeout;
-  else if (status == "cancelled") p.status = FlowStatus::kCancelled;
-  else if (status == "fault") p.status = FlowStatus::kFault;
-  else p.status = FlowStatus::kError;
-  p.deadlocked = p.status == FlowStatus::kDeadlock;
-  if (const JsonValue* v = doc.find("attempts"))
-    p.attempts = static_cast<unsigned>(v->number);
-  if (const JsonValue* v = doc.find("error")) p.error = v->string;
-  p.channels = static_cast<std::size_t>(num(doc, "channels"));
-  p.states = static_cast<std::size_t>(num(doc, "states"));
-  p.transitions = static_cast<std::size_t>(num(doc, "transitions"));
-  p.products = static_cast<std::size_t>(num(doc, "products"));
-  p.literals = static_cast<std::size_t>(num(doc, "literals"));
-  p.latency = static_cast<std::int64_t>(num(doc, "latency"));
-  p.sim_events = static_cast<std::int64_t>(num(doc, "sim_events"));
-  p.sim_operations = static_cast<std::int64_t>(num(doc, "sim_operations"));
-  p.total_micros = static_cast<std::uint64_t>(num(doc, "total_us"));
-  if (const JsonValue* regs = doc.find("registers"); regs && regs->is_object())
-    for (const auto& [name, value] : regs->object) {
-      const std::optional<std::int64_t> v = json_integer<std::int64_t>(value);
-      if (!v) throw std::runtime_error("register " + name + " is not an int64");
-      p.sim_registers[name] = *v;
+  p.benchmark = r.required<std::string>("benchmark");
+  p.script = r.required<std::string>("script");
+  p.ok = r.required<bool>("ok");
+  const std::optional<std::string> status = r.optional<std::string>("status");
+  bool known = false;
+  for (FlowStatus s : {FlowStatus::kOk, FlowStatus::kDeadlock, FlowStatus::kTimeout,
+                       FlowStatus::kCancelled, FlowStatus::kFault, FlowStatus::kError})
+    if (status == to_string(s)) {
+      p.status = s;
+      known = true;
     }
-  if (const JsonValue* ctrls = doc.find("controllers"); ctrls && ctrls->is_array())
+  if (!known) r.problem("status is missing or not a flow status");
+  p.deadlocked = p.status == FlowStatus::kDeadlock;
+  p.attempts = r.optional<unsigned>("attempts").value_or(1);
+  p.from_disk_cache = r.optional<bool>("from_disk_cache").value_or(false);
+  p.error = r.optional<std::string>("error").value_or("");
+  p.channels = r.required<std::size_t>("channels");
+  p.states = r.required<std::size_t>("states");
+  p.transitions = r.required<std::size_t>("transitions");
+  p.products = r.required<std::size_t>("products");
+  p.literals = r.required<std::size_t>("literals");
+  p.latency = r.required<std::int64_t>("latency");
+  p.sim_events = r.required<std::int64_t>("sim_events");
+  p.sim_operations = r.required<std::int64_t>("sim_operations");
+  p.total_micros = r.required<std::uint64_t>("total_us");
+  if (const JsonValue* regs = r.object("registers", false)) {
+    JsonReader rr(*regs, "registers", problems);
+    for (const auto& [name, value] : regs->object)
+      p.sim_registers[name] = rr.required<std::int64_t>(name.c_str());
+  }
+  if (const JsonValue* ctrls = r.array("controllers"))
     for (const JsonValue& c : ctrls->array) {
+      JsonReader cr(c, "controller", problems);
       ControllerMetrics m;
-      if (const JsonValue* v = c.find("name")) m.name = v->string;
-      m.states = static_cast<std::size_t>(num(c, "states"));
-      m.transitions = static_cast<std::size_t>(num(c, "transitions"));
-      m.products = static_cast<std::size_t>(num(c, "products"));
-      m.literals = static_cast<std::size_t>(num(c, "literals"));
-      m.state_bits = static_cast<std::size_t>(num(c, "state_bits"));
-      m.outputs = static_cast<std::size_t>(num(c, "outputs"));
-      if (const JsonValue* v = c.find("feasible")) m.feasible = v->boolean;
+      m.name = cr.required<std::string>("name");
+      m.states = cr.required<std::size_t>("states");
+      m.transitions = cr.required<std::size_t>("transitions");
+      m.products = cr.required<std::size_t>("products");
+      m.literals = cr.required<std::size_t>("literals");
+      m.state_bits = cr.required<std::size_t>("state_bits");
+      m.outputs = cr.required<std::size_t>("outputs");
+      m.feasible = cr.required<bool>("feasible");
       p.controllers.push_back(std::move(m));
     }
-  if (const JsonValue* stages = doc.find("stages"); stages && stages->is_array())
+  if (const JsonValue* stages = r.array("stages"))
     for (const JsonValue& t : stages->array) {
+      JsonReader tr(t, "stage", problems);
       StageTiming st;
-      if (const JsonValue* v = t.find("stage")) st.stage = v->string;
-      st.micros = static_cast<std::uint64_t>(num(t, "us"));
-      st.cpu_micros = static_cast<std::uint64_t>(num(t, "cpu_us"));
-      if (const JsonValue* v = t.find("cached")) st.cached = v->boolean;
+      st.stage = tr.required<std::string>("stage");
+      st.micros = tr.required<std::uint64_t>("us");
+      st.cpu_micros = tr.required<std::uint64_t>("cpu_us");
+      st.cached = tr.required<bool>("cached");
       p.timings.push_back(std::move(st));
     }
+  throw_if_problems("flow point", problems);
   return p;
 }
 

@@ -174,8 +174,12 @@ void write_json(class JsonWriter& w, const FlowPoint& p,
                 const std::vector<std::pair<std::string, std::string>>& extra = {});
 
 // Inverse of to_json for the disk-tier cache: rebuilds the metric fields
-// of a FlowPoint (artifacts/graph/provenance stay null).  Throws
-// std::runtime_error on malformed input.
+// of a FlowPoint (artifacts/graph/provenance/critical_path stay null).
+// Every member write_json always emits is required and every count must be
+// an integer of its field's type; only attempts, from_disk_cache, error,
+// registers and critical_path may be absent.  A payload that falls short
+// throws std::runtime_error listing each defect, so a replay is the cold
+// point in full or a miss, never a point with zeroed counts.
 FlowPoint parse_flow_point(const std::string& json);
 
 class FlowExecutor {

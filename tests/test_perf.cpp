@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <stdexcept>
+#include <thread>
+
 #include "report/json_parse.hpp"
 
 namespace adc {
@@ -127,6 +133,17 @@ TEST(PerfRecord, EmittedJsonPassesTheValidator) {
   EXPECT_TRUE(problems.empty()) << problems.front();
 }
 
+// Pretty-printed members of sample_report() and a value their field's
+// integer type cannot hold: the version, the core count, the warmup and
+// the policy's and a record's repeats.
+std::vector<std::pair<std::string, std::string>> out_of_range_swaps() {
+  return {{"\"version\": 1", "\"version\": 1e300"},
+          {"\"cores\": 4", "\"cores\": -1"},
+          {"\"warmup\": 2", "\"warmup\": 1e300"},
+          {"\"repeats\": 7", "\"repeats\": 0.5"},
+          {"\"repeats\": 9", "\"repeats\": 0.5"}};
+}
+
 TEST(PerfRecord, ValidatorCatchesBrokenDocuments) {
   auto has_problem = [](const std::string& json, const std::string& what) {
     for (const std::string& p : validate_bench_json(parse_json(json)))
@@ -156,6 +173,13 @@ TEST(PerfRecord, ValidatorCatchesBrokenDocuments) {
                           "repeats < 1"));
   EXPECT_TRUE(has_problem(swap("\"peak_rss_kb\": 2048", "\"peak_rss_kb\": -1"),
                           "peak_rss_kb missing or negative"));
+  // Numbers no value of the field's integer type equals are problems,
+  // never undefined float-to-integer casts.
+  for (const auto& [from, to] : out_of_range_swaps()) {
+    const std::string key = from.substr(1, from.find('"', 1) - 1);
+    EXPECT_TRUE(has_problem(swap(from, to), "'" + key + "' is not an integer in range"))
+        << to;
+  }
 
   // Members parse_bench_report requires: an empty policy and a stage row
   // with only its name must not pass the validator either.
@@ -190,6 +214,21 @@ TEST(PerfRecord, ParseRejectsWrongKindAndVersion) {
   std::size_t at = s.find("\"version\": 1");
   s.replace(at, 12, "\"version\": 7");
   EXPECT_THROW(parse_bench_report(s), std::runtime_error);
+
+  // Parse reads through the validator's path: whatever validate_bench_json
+  // reports, parse_bench_report refuses.
+  for (const auto& [from, to] : out_of_range_swaps()) {
+    std::string bad = to_json(rep);
+    bad.replace(bad.find(from), from.size(), to);
+    EXPECT_THROW(parse_bench_report(bad), std::runtime_error) << to;
+  }
+  rep.benchmarks[0].wall_us.p50 = 1000.0;  // p50 > p90, nothing else wrong
+  try {
+    parse_bench_report(to_json(rep));
+    ADD_FAILURE() << "stat ordering accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("p50 > p90"), std::string::npos) << e.what();
+  }
 }
 
 // --- baseline comparison ---------------------------------------------------
@@ -273,6 +312,60 @@ TEST(PerfMeasure, RunsWarmupPlusRepeatsAndKeepsCounters) {
   EXPECT_EQ(rec.stages[0].stage, "stage1");
   EXPECT_GE(rec.wall_us.max, rec.wall_us.min);
   EXPECT_GE(rec.peak_rss_kb, 0);
+}
+
+TEST(PerfMeasure, GroupAlternatesAndMarksEveryRecordOnFailure) {
+  std::string calls;  // written by the measuring thread, read after it joined
+  Benchmark a{"t", "t.a", [&calls](BenchContext&) { calls += 'a'; }};
+  Benchmark b{"t", "t.b", [&calls](BenchContext& ctx) {
+                calls += 'b';
+                ctx.counters["b"] = 1;
+              }};
+  MeasureOptions opts;
+  opts.warmup = 1;
+  opts.repeats = 3;
+  std::vector<BenchRecord> recs = measure_group({a, b}, opts);
+  EXPECT_EQ(calls, "abababab");  // 1 warmup round + 3 timed rounds
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].name, "t.a");
+  EXPECT_EQ(recs[1].name, "t.b");
+  for (const BenchRecord& r : recs) {
+    EXPECT_EQ(r.status, "ok");
+    EXPECT_EQ(r.repeats, 3u);
+  }
+  EXPECT_TRUE(recs[0].counters.empty());
+  EXPECT_EQ(recs[1].counters.at("b"), 1.0);
+
+  // A throwing body marks both records.
+  Benchmark quiet{"t", "t.quiet", [](BenchContext&) {}};
+  Benchmark boom{"t", "t.boom",
+                 [](BenchContext&) { throw std::runtime_error("boom"); }};
+  recs = measure_group({quiet, boom}, opts);
+  ASSERT_EQ(recs.size(), 2u);
+  for (const BenchRecord& r : recs) {
+    EXPECT_EQ(r.status, "error") << r.name;
+    EXPECT_EQ(r.error, "boom");
+  }
+
+  // So does a hung one, once the group's deadline fires.  The abandoned
+  // thread is released afterwards and touches nothing of this frame.
+  auto release = std::make_shared<std::atomic<bool>>(false);
+  Benchmark hang{"t", "t.hang", [release](BenchContext&) {
+                   while (!release->load())
+                     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                 }};
+  opts.deadline_ms = 50;
+  recs = measure_group({quiet, hang}, opts);
+  release->store(true);
+  ASSERT_EQ(recs.size(), 2u);
+  for (const BenchRecord& r : recs) {
+    EXPECT_EQ(r.status, "timeout") << r.name;
+    EXPECT_EQ(r.repeats, 1u);
+  }
+  // Failed records still pass the schema.
+  BenchReport rep = run_registered({"no-such-suite"}, "", opts, "test");
+  rep.benchmarks = recs;
+  EXPECT_TRUE(validate_bench_json(parse_json(to_json(rep))).empty());
 }
 
 TEST(PerfMeasure, RegistryFiltersBySuiteAndName) {

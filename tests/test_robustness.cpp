@@ -8,8 +8,8 @@
 //    watchdog, and stalls converted into structured status=timeout points.
 //  * Injected faults surface as status=fault with the site in the error.
 //  * The disk-tier point cache replays completed points warm across
-//    executors (including deadlock verdicts) and round-trips FlowPoint
-//    JSON losslessly.
+//    executors (including deadlock verdicts), round-trips FlowPoint JSON
+//    losslessly, and treats a drifted or partial payload as a miss.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "runtime/cancel.hpp"
+#include "runtime/disk_cache.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/flow.hpp"
 #include "runtime/thread_pool.hpp"
@@ -313,6 +314,41 @@ TEST_F(DiskTierTest, CorruptedEntryFallsBackToRecompute) {
   EXPECT_GE(fresh.disk_cache()->stats().corrupt, 1u);
 }
 
+// A payload whose envelope and checksum are intact but whose schema has
+// drifted must be a miss that recomputes, never a replay with zeroed
+// counts.
+TEST_F(RobustnessTest, DriftedDiskPayloadIsAMissNotAZeroPoint) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "adc_disk_drifted_payload";
+  fs::remove_all(dir);
+  FlowExecutor::Options opts;
+  opts.disk_cache_dir = dir.string();
+  FlowRequest req = make_builtin_request(*find_builtin("mac_reduce"), "gt2; gt5; lt");
+  FlowPoint cold;
+  {
+    FlowExecutor exec(nullptr, opts);
+    cold = exec.run(req);
+    ASSERT_TRUE(cold.ok) << cold.error;
+  }
+  // The logic memo keeps its own logic-* entries in the same directory.
+  DiskCache cache(dir.string());
+  std::size_t rewritten = 0;
+  for (const DiskCache::ScanEntry& e : DiskCache::scan(dir.string())) {
+    if (e.key.rfind("logic-", 0) == 0) continue;
+    ASSERT_TRUE(cache.put(e.key, R"({"benchmark": ")" + cold.benchmark +
+                                     R"(", "script": ")" + cold.script +
+                                     R"(", "ok": true, "status": "ok"})"));
+    ++rewritten;
+  }
+  ASSERT_EQ(rewritten, 1u);
+  FlowExecutor fresh(nullptr, opts);
+  FlowPoint warm = fresh.run(req);
+  EXPECT_FALSE(warm.from_disk_cache);
+  EXPECT_EQ(warm.status, FlowStatus::kOk) << warm.error;
+  EXPECT_EQ(warm.literals, cold.literals);
+  EXPECT_EQ(warm.channels, cold.channels);
+  fs::remove_all(dir);
+}
+
 TEST_F(RobustnessTest, FlowPointJsonRoundTrips) {
   FlowExecutor exec(nullptr);
   FlowRequest req = make_builtin_request(*find_builtin("mac_reduce"),
@@ -346,10 +382,30 @@ TEST_F(RobustnessTest, FlowPointJsonRoundTrips) {
   }
   // Registers are untrusted integers: one no int64 holds rejects the payload.
   const std::string head =
-      R"({"benchmark": "b", "script": "lt", "ok": true, "status": "ok", "registers": )";
+      R"({"benchmark": "b", "script": "lt", "ok": true, "status": "ok",
+          "channels": 3, "states": 4, "transitions": 5, "products": 6,
+          "literals": 7, "latency": 8, "sim_events": 9, "sim_operations": 10,
+          "total_us": 11, "controllers": [], "stages": [], "registers": )";
   EXPECT_EQ(parse_flow_point(head + R"({"r0": -3}})").sim_registers.at("r0"), -3);
   EXPECT_THROW(parse_flow_point(head + R"({"r0": 1e300}})"), std::runtime_error);
   EXPECT_THROW(parse_flow_point(head + R"({"r0": 0.5}})"), std::runtime_error);
+
+  // So are the counts, and every member write_json always emits is
+  // required: a count no size_t holds, or a missing one, is no point.
+  const std::string json = to_json(p);
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string s = json;
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return s.replace(at, from.size(), to);
+  };
+  const std::string channels = "\"channels\":" + std::to_string(p.channels);
+  const std::string literals = "\"literals\":" + std::to_string(p.literals) + ",";
+  EXPECT_THROW(parse_flow_point(with(channels, "\"channels\":1e300")),
+               std::runtime_error);
+  EXPECT_THROW(parse_flow_point(with(channels, "\"channels\":-1")),
+               std::runtime_error);
+  EXPECT_THROW(parse_flow_point(with(literals, "")), std::runtime_error);
 }
 
 TEST_F(RobustnessTest, DeadlockPointJsonRoundTripsStatus) {

@@ -265,15 +265,12 @@ int main(int argc, char** argv) {
         ratios_ok = false;
         continue;
       }
-      auto pair = perf::measure_interleaved(*a, *b, mopts);
-      ratios_ok =
-          eval_ratio(&pair.first, &pair.second, spec, log) && ratios_ok;
+      std::vector<perf::BenchRecord> pair = perf::measure_group({*a, *b}, mopts);
+      ratios_ok = eval_ratio(&pair[0], &pair[1], spec, log) && ratios_ok;
       // The interleaved samples are measured under the same policy — they
       // belong in the emitted report like any sequential record.
-      if (!rep.find(pair.first.name))
-        rep.benchmarks.push_back(std::move(pair.first));
-      if (!rep.find(pair.second.name))
-        rep.benchmarks.push_back(std::move(pair.second));
+      for (perf::BenchRecord& rec : pair)
+        if (!rep.find(rec.name)) rep.benchmarks.push_back(std::move(rec));
       if (mopts.on_record) mopts.on_record(rep);
     }
 

@@ -10,10 +10,10 @@
 // --vcd` runs a benchmark, this tool proves the three artifacts are
 // well-formed without opening Perfetto/GTKWave —
 //
-//  * trace: Chrome trace_event JSON, every event carries name/ph/pid/tid
-//    (plus ts for timed phases), B/E pairs balance per track, complete
-//    ("X") events carry a duration, and time never moves backwards on a
-//    track;
+//  * trace: Chrome trace_event JSON as obs::Trace writes it — every event
+//    carries name/ph and integer pid/tid (plus a numeric ts unless it is
+//    metadata), the phase is M, X, C or i, complete ("X") events carry a
+//    positive numeric duration, and time never moves backwards on a track;
 //  * provenance: parses, names its benchmark/script, and its embedded
 //    "reconciliation" check list is empty (the ledgers balance);
 //  * vcd: declarations close with $enddefinitions, every value change
@@ -78,61 +78,43 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+// The trace Trace::write_chrome_trace writes: metadata (M), complete
+// spans (X), counters (C) and instants (i).
 void check_trace(const std::string& path) {
-  JsonValue doc = parse_json(slurp(path));
-  const JsonValue* events = doc.find("traceEvents");
-  if (!events || !events->is_array()) {
-    fail(path + ": no traceEvents array");
+  const JsonValue doc = parse_json(slurp(path));
+  std::vector<std::string> problems;
+  JsonReader r(doc, path, problems);
+  const JsonValue* events = r.array("traceEvents");
+  if (!events) {
+    fail(problems.front());
     return;
   }
-  if (events->array.empty()) fail(path + ": empty trace");
-  std::map<std::int64_t, int> depth;
+  if (events->array.empty()) r.problem("empty trace");
   std::map<std::int64_t, double> last_ts;
-  std::size_t spans = 0;
+  std::size_t spans = 0, index = 0;
   for (const JsonValue& ev : events->array) {
-    for (const char* key : {"name", "ph", "pid", "tid"})
-      if (!ev.find(key)) {
-        fail(path + ": event missing '" + key + "'");
-        return;
-      }
-    const std::string& ph = ev.at("ph").string;
+    JsonReader e(ev, path + ": event " + std::to_string(index++), problems);
+    e.required<std::string>("name");
+    e.required<std::int64_t>("pid");
+    const std::int64_t tid = e.required<std::int64_t>("tid");
+    const std::string ph = e.required<std::string>("ph");
     if (ph == "M") continue;  // metadata (process/thread names): no clock
-    if (!ev.find("ts")) {
-      fail(path + ": event missing 'ts'");
-      return;
-    }
-    const std::optional<std::int64_t> track = json_integer<std::int64_t>(ev.at("tid"));
-    if (!track) {
-      fail(path + ": tid is not an integer");
-      return;
-    }
-    const std::int64_t tid = *track;
-    double ts = ev.at("ts").number;
+    const double ts = e.required<double>("ts");
     if (last_ts.count(tid) && ts < last_ts[tid])
-      fail(path + ": time moved backwards on track " + std::to_string(tid));
+      e.problem("time moved backwards on track " + std::to_string(tid));
     last_ts[tid] = ts;
-    if (ph == "B") {
-      ++depth[tid];
-      ++spans;
-    } else if (ph == "E") {
-      if (--depth[tid] < 0) {
-        fail(path + ": end without begin on track " + std::to_string(tid));
-        return;
-      }
-    } else if (ph == "X") {
-      // Complete events (the per-job span trees): self-contained, but a
-      // zero/missing duration means a span was exported half-closed.
-      const JsonValue* dur = ev.find("dur");
-      if (!dur || dur->number <= 0) fail(path + ": complete event without dur");
+    if (ph == "X") {
+      // Self-contained, but a zero or missing duration means a span was
+      // exported half-closed.
+      if (e.optional<double>("dur").value_or(0) <= 0)
+        e.problem("complete event without dur");
       ++spans;
     } else if (ph != "C" && ph != "i") {
-      fail(path + ": unexpected phase '" + ph + "'");
+      e.problem("unexpected phase '" + ph + "'");
     }
   }
-  for (const auto& [tid, d] : depth)
-    if (d != 0) fail(path + ": " + std::to_string(d) + " unclosed span(s) on track " +
-                     std::to_string(tid));
-  if (spans == 0) fail(path + ": no spans recorded");
+  if (spans == 0) r.problem("no spans recorded");
+  for (const std::string& problem : problems) fail(problem);
 }
 
 void check_provenance(const std::string& path) {

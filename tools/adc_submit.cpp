@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "report/json.hpp"
+#include "report/json_parse.hpp"
 #include "report/table.hpp"
 #include "serve/client.hpp"
 #include "trace/log.hpp"
@@ -93,7 +94,7 @@ std::string member_string(const JsonValue& v, const char* key) {
 
 std::int64_t member_int(const JsonValue& v, const char* key) {
   const JsonValue* m = v.find(key);
-  return m && m->is_number() ? static_cast<std::int64_t>(m->number) : 0;
+  return m ? json_integer<std::int64_t>(*m).value_or(0) : 0;
 }
 
 }  // namespace

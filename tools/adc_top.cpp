@@ -65,14 +65,10 @@ double number_of(const JsonValue* series, const char* key) {
   return v && v->is_number() ? v->number : 0;
 }
 
-std::uint64_t uint_of(const JsonValue* series, const char* key) {
-  return static_cast<std::uint64_t>(number_of(series, key));
-}
-
-std::uint64_t jobs_uint(const JsonValue& reply, const char* key) {
-  const JsonValue* jobs = reply.find("jobs");
-  const JsonValue* v = jobs ? jobs->find(key) : nullptr;
-  return v && v->is_number() ? static_cast<std::uint64_t>(v->number) : 0;
+// Member `key` of `obj` as a count; 0 when absent or no uint64.
+std::uint64_t uint_of(const JsonValue* obj, const char* key) {
+  const JsonValue* v = obj ? obj->find(key) : nullptr;
+  return v ? json_integer<std::uint64_t>(*v).value_or(0) : 0;
 }
 
 void render(const JsonValue& reply, const std::string& endpoint) {
@@ -82,9 +78,8 @@ void render(const JsonValue& reply, const std::string& endpoint) {
   const JsonValue* hists = obs ? obs->find("histograms") : nullptr;
 
   const JsonValue* state = reply.find("state");
-  std::uint64_t uptime_ms = 0;
-  if (const JsonValue* v = reply.find("uptime_ms"); v && v->is_number())
-    uptime_ms = static_cast<std::uint64_t>(v->number);
+  const JsonValue* jobs = reply.find("jobs");
+  const std::uint64_t uptime_ms = uint_of(&reply, "uptime_ms");
 
   std::printf("adc_top — %s — %s — up %" PRIu64 ".%03" PRIu64 "s\n",
               endpoint.c_str(),
@@ -93,12 +88,12 @@ void render(const JsonValue& reply, const std::string& endpoint) {
   std::printf(
       "jobs   submitted %-8" PRIu64 " completed %-8" PRIu64
       " cancelled %-6" PRIu64 " rejected %-6" PRIu64 "\n",
-      jobs_uint(reply, "submitted"), jobs_uint(reply, "completed"),
-      jobs_uint(reply, "cancelled"), jobs_uint(reply, "rejected"));
+      uint_of(jobs, "submitted"), uint_of(jobs, "completed"),
+      uint_of(jobs, "cancelled"), uint_of(jobs, "rejected"));
   std::printf(
       "now    running %-8" PRIu64 " queued %-8" PRIu64
       " retry_after %.0f ms   service ewma %.1f ms\n",
-      jobs_uint(reply, "running"), jobs_uint(reply, "queued"),
+      uint_of(jobs, "running"), uint_of(jobs, "queued"),
       number_of(find_series(gauges, "serve.retry_after_ms"), "value"),
       number_of(find_series(gauges, "serve.service_ewma_ms"), "value"));
 
