@@ -1,10 +1,10 @@
 #include "sim/token_sim.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <queue>
 #include <random>
-#include <set>
 #include <stdexcept>
 
 #include "cdfg/analysis.hpp"
@@ -20,44 +20,179 @@ void execute_statement(const RtlStatement& s, std::map<std::string, std::int64_t
   regs[s.dest] = alu_compute(s.op, l, r);
 }
 
+struct TokenSimModel::Compiled {
+  Compiled(const Cdfg& g, const DelayModel& delays);
+
+  struct Edge {
+    std::uint32_t src = 0, dst = 0;  // node indices
+    int tokens = 0;                  // pre-loaded tokens
+    bool inter_controller = false;   // subject to the single-wire discipline
+    bool loop_body = false;          // out of a LOOP root, into its body
+    bool loop_exit = false;          // out of a LOOP root, elsewhere
+    // Into a LOOP root from outside the loop: consumed only when the loop
+    // (re-)activates, not on every iteration — the controller samples its
+    // environment request only in the start state.
+    bool loop_entry = false;
+  };
+  // One RTL statement with its register slots (-1: a constant operand).
+  struct Stmt {
+    RtlStatement rtl;
+    int lhs_slot = -1, rhs_slot = -1, dest_slot = -1;
+  };
+  struct NodeInfo {
+    NodeKind kind = NodeKind::kOperation;
+    bool alive = false;
+    DelayRange delay;
+    int cond_slot = -1;              // LOOP/IF: the condition register
+    int loop = -1;                   // innermost enclosing loop block, -1: none
+    int rooted_block = -1;           // the block a LOOP/IF node roots
+    std::uint32_t if_begin = 0, if_end = 0;      // enclosing IF blocks
+    std::uint32_t stmt_begin = 0, stmt_end = 0;  // statements
+    std::uint32_t in_begin = 0, in_end = 0;      // incoming edge indices
+    std::uint32_t out_begin = 0, out_end = 0;    // outgoing edge indices
+  };
+
+  std::vector<Edge> edges;
+  std::vector<NodeInfo> nodes;            // by node index, dead ones included
+  std::vector<std::uint32_t> live_nodes;  // node_ids() order
+  std::vector<std::uint32_t> in_edges, out_edges, if_chain;
+  std::vector<Stmt> stmts;
+  std::vector<std::string> registers;     // slot -> name, sorted
+  std::size_t block_count = 0;
+
+  // The register's slot, or -1 when the graph never names it.
+  int slot(const std::string& reg) const;
+  // The node's label as Node::label() spells it, for diagnostics.
+  std::string label(std::uint32_t node) const;
+};
+
 namespace {
 
-// An edge in the simulation graph: either a real constraint arc or one of
-// the implicit controller wrap-around constraints.
-struct SimEdge {
-  NodeId src;
-  NodeId dst;
-  int tokens = 0;
-  bool inter_controller = false;  // subject to the single-wire discipline
-  bool loop_body = false;         // out of a LOOP root, into its body
-  bool loop_exit = false;         // out of a LOOP root, elsewhere
-  // Into a LOOP root from outside the loop: consumed only when the loop
-  // (re-)activates, not on every iteration — the controller samples its
-  // environment request only in the start state.
-  bool loop_entry = false;
-};
+using Model = TokenSimModel::Compiled;
+
+// The innermost loop block enclosing a node (or its own block for LOOP /
+// ENDLOOP boundary nodes of a loop); -1 outside every loop.
+int loop_of(const Cdfg& g, NodeId n) {
+  const Node& node = g.node(n);
+  if (node.kind == NodeKind::kLoop || node.kind == NodeKind::kEndLoop) {
+    for (BlockId b : g.block_ids())
+      if (g.block(b).root == n || g.block(b).end == n) return static_cast<int>(b.value());
+  }
+  BlockId b = node.block;
+  while (b.valid()) {
+    if (g.block(b).kind == NodeKind::kLoop) return static_cast<int>(b.value());
+    b = g.block(b).parent;
+  }
+  return -1;
+}
+
+// The block rooted at n, if n is a LOOP/IF root.
+std::optional<BlockId> rooted_block(const Cdfg& g, NodeId n) {
+  for (BlockId b : g.block_ids())
+    if (g.block(b).root == n) return b;
+  return std::nullopt;
+}
+
+std::vector<Model::Edge> build_edges(const Cdfg& g) {
+  std::vector<Model::Edge> edges;
+  for (ArcId aid : g.arc_ids()) {
+    const Arc& a = g.arc(aid);
+    Model::Edge e;
+    e.src = a.src.value();
+    e.dst = a.dst.value();
+    e.tokens = a.backward ? 1 : 0;  // backward arcs pre-enabled (GT1)
+    const Node& sn = g.node(a.src);
+    const Node& dn = g.node(a.dst);
+    e.inter_controller = sn.fu != dn.fu;
+    if (sn.kind == NodeKind::kLoop) {
+      auto b = rooted_block(g, a.src);
+      bool into_body = b && in_block(g, a.dst, *b);
+      e.loop_body = into_body;
+      e.loop_exit = !into_body;
+    }
+    if (dn.kind == NodeKind::kLoop) {
+      auto b = rooted_block(g, a.dst);
+      bool from_inside = b && (in_block(g, a.src, *b) || g.block(*b).end == a.src);
+      e.loop_entry = !from_inside;
+    }
+    edges.push_back(e);
+  }
+  // Implicit wrap-around constraints: within each (FU, block) group the
+  // controller cycles last -> first, and each loop's root refires after
+  // its end node.  Pre-loaded with one token for the first repetition.
+  auto wrap = [&edges](NodeId from, NodeId to) {
+    Model::Edge e;
+    e.src = from.value();
+    e.dst = to.value();
+    e.tokens = 1;
+    edges.push_back(e);
+  };
+  for (FuId fu : g.fu_ids()) {
+    std::map<BlockId::underlying, std::pair<NodeId, NodeId>> group;
+    for (NodeId n : g.fu_order(fu)) {
+      auto [it, ins] = group.try_emplace(g.node(n).block.value(), std::make_pair(n, n));
+      if (!ins) it->second.second = n;
+    }
+    for (const auto& [block, fl] : group) {
+      (void)block;
+      if (fl.first != fl.second) wrap(fl.second, fl.first);
+    }
+  }
+  for (BlockId b : g.block_ids()) {
+    const Block& blk = g.block(b);
+    if (blk.kind == NodeKind::kLoop && blk.end.valid()) wrap(blk.end, blk.root);
+  }
+  return edges;
+}
 
 struct Event {
   std::int64_t time;
   std::int64_t seq;
-  NodeId node;
+  std::uint32_t node;
   bool operator>(const Event& o) const {
     return time != o.time ? time > o.time : seq > o.seq;
   }
 };
 
-class TokenSim {
+// A node's run state.  A busy node cannot fire again before it completes,
+// so each holds one pending firing: its IF activity, condition value and
+// (in TokenRun::writes_) statement results; its index is `firings - 1`.
+struct NodeState {
+  bool busy = false;
+  bool loop_active = false;
+  bool active = true;
+  int firings = 0;
+  std::int64_t cond = 0;
+};
+
+class TokenRun {
  public:
-  TokenSim(const Cdfg& g, const std::map<std::string, std::int64_t>& init,
-           const TokenSimOptions& opts)
-      : g_(g), opts_(opts), rng_(opts.seed) {
+  TokenRun(const Model& m, const std::map<std::string, std::int64_t>& init,
+           const TokenSimOptions& opts, TokenSimWatch* watch)
+      : m_(m), opts_(opts), watch_(watch), harness_(opts.forced_loop_iterations >= 0),
+        rng_(opts.seed) {
+    tokens_.reserve(m.edges.size());
+    for (const auto& e : m.edges) tokens_.push_back(e.tokens);
+    state_.resize(m.nodes.size());
+    if_active_.assign(m.block_count, 0);
+    writes_.assign(m.stmts.size(), 0);
+    regs_.assign(m.registers.size(), 0);
+    present_.assign(m.registers.size(), 0);
+    for (const auto& [name, value] : init) {
+      if (const int s = m.slot(name); s >= 0) {
+        regs_[static_cast<std::size_t>(s)] = value;
+        present_[static_cast<std::size_t>(s)] = 1;
+      }
+    }
     result_.registers = init;
-    build_edges();
   }
 
   TokenSimResult run() {
     // START has no incoming edges; everything begins there.
-    for (NodeId n : g_.node_ids()) try_fire(n, 0);
+    for (std::uint32_t n : m_.live_nodes) {
+      try_fire(n, 0);
+      if (halted()) return finish();
+    }
 
     // Keep draining after END fires: with GT1 loop parallelism the final
     // iteration's stragglers may still be in flight when the loop exits
@@ -68,220 +203,153 @@ class TokenSim {
       events_.pop();
       if (result_.firings > opts_.max_firings) {
         result_.error = "runaway simulation (firing budget exhausted)";
-        return result_;
+        return finish();
       }
       complete(ev.node, ev.time);
-      if (!result_.error.empty()) return result_;
+      if (halted()) return finish();
     }
-    if (!result_.completed && result_.error.empty())
-      result_.error = deadlock_report();
-    return result_;
+    if (!result_.completed) result_.error = deadlock_report();
+    return finish();
   }
 
  private:
-  // The block rooted at n, if n is a LOOP/IF root.
-  std::optional<BlockId> rooted_block(NodeId n) const {
-    for (BlockId b : g_.block_ids())
-      if (g_.block(b).root == n) return b;
-    return std::nullopt;
+  bool halted() const { return result_.stopped || !result_.error.empty(); }
+
+  TokenSimResult finish() {
+    for (std::size_t s = 0; s < regs_.size(); ++s)
+      if (present_[s]) result_.registers[m_.registers[s]] = regs_[s];
+    return std::move(result_);
   }
 
-  void build_edges() {
-    for (ArcId aid : g_.arc_ids()) {
-      const Arc& a = g_.arc(aid);
-      SimEdge e;
-      e.src = a.src;
-      e.dst = a.dst;
-      e.tokens = a.backward ? 1 : 0;  // backward arcs pre-enabled (GT1)
-      const Node& sn = g_.node(a.src);
-      const Node& dn = g_.node(a.dst);
-      e.inter_controller = sn.fu != dn.fu;
-      if (sn.kind == NodeKind::kLoop) {
-        auto b = rooted_block(a.src);
-        bool into_body = b && in_block(g_, a.dst, *b);
-        e.loop_body = into_body;
-        e.loop_exit = !into_body;
-      }
-      if (dn.kind == NodeKind::kLoop) {
-        auto b = rooted_block(a.dst);
-        bool from_inside = b && (in_block(g_, a.src, *b) || g_.block(*b).end == a.src);
-        e.loop_entry = !from_inside;
-      }
-      add_edge(e);
-    }
-    // Implicit wrap-around constraints: within each (FU, block) group the
-    // controller cycles last -> first, and each loop's root refires after
-    // its end node.  Pre-loaded with one token for the first repetition.
-    for (FuId fu : g_.fu_ids()) {
-      std::map<BlockId::underlying, std::pair<NodeId, NodeId>> group;
-      for (NodeId n : g_.fu_order(fu)) {
-        auto [it, ins] = group.try_emplace(g_.node(n).block.value(), std::make_pair(n, n));
-        if (!ins) it->second.second = n;
-      }
-      for (const auto& [block, fl] : group) {
-        (void)block;
-        if (fl.first == fl.second) continue;
-        add_edge(SimEdge{fl.second, fl.first, 1, false, false, false});
-      }
-    }
-    for (BlockId b : g_.block_ids()) {
-      const Block& blk = g_.block(b);
-      if (blk.kind != NodeKind::kLoop || !blk.end.valid()) continue;
-      add_edge(SimEdge{blk.end, blk.root, 1, false, false, false});
-    }
-  }
-
-  void add_edge(SimEdge e) {
-    std::size_t idx = edges_.size();
-    edges_.push_back(e);
-    out_edges_.resize(g_.node_capacity());
-    in_edges_.resize(g_.node_capacity());
-    out_edges_[e.src.index()].push_back(idx);
-    in_edges_[e.dst.index()].push_back(idx);
-  }
-
-  std::int64_t draw_delay(const Node& n) {
-    DelayRange r;
-    switch (n.kind) {
-      case NodeKind::kOperation:
-        r = opts_.delays.op_delay(g_.fu(n.fu).cls);
-        break;
-      case NodeKind::kAssign:
-        r = opts_.delays.move;
-        break;
-      default:
-        r = opts_.delays.control;
-        break;
-    }
+  std::int64_t draw_delay(const DelayRange& r) {
     if (!opts_.randomize_delays || r.min == r.max)
       return opts_.all_min_delays ? r.min : r.max;
     std::uniform_int_distribution<std::int64_t> dist(r.min, r.max);
     return dist(rng_);
   }
 
-  // The innermost loop block enclosing a node (or its own block for LOOP /
-  // ENDLOOP boundary nodes of a loop).
-  std::optional<BlockId::underlying> loop_of(NodeId n) const {
-    const Node& node = g_.node(n);
-    if (node.kind == NodeKind::kLoop || node.kind == NodeKind::kEndLoop) {
-      for (BlockId b : g_.block_ids())
-        if (g_.block(b).root == n || g_.block(b).end == n) return b.value();
-    }
-    BlockId b = node.block;
-    while (b.valid()) {
-      if (g_.block(b).kind == NodeKind::kLoop) return b.value();
-      b = g_.block(b).parent;
-    }
-    return std::nullopt;
+  std::int64_t operand(const Operand& o, int slot) const {
+    return o.eval(slot >= 0 ? regs_[static_cast<std::size_t>(slot)] : 0);
   }
 
-  void try_fire(NodeId n, std::int64_t now) {
-    if (busy_.count(n.value())) return;
-    if (!g_.node(n).alive) return;
+  void try_fire(std::uint32_t n, std::int64_t now) {
+    const Model::NodeInfo& node = m_.nodes[n];
+    NodeState& st = state_[n];
+    if (st.busy || !node.alive) return;
     // A node with no incoming constraints (START) fires exactly once.
-    if (in_edges_[n.index()].empty() && fired_source_.count(n.value())) return;
+    const bool source = node.in_begin == node.in_end;
+    if (source && st.firings > 0) return;
     // An already-active loop iterates on its internal constraints only; the
     // environment/entry tokens are consumed once per activation.
-    bool active_loop = g_.node(n).kind == NodeKind::kLoop &&
-                       loop_active_.count(n.value()) != 0;
-    auto needed = [&](const SimEdge& e) { return !(active_loop && e.loop_entry); };
-    for (std::size_t e : in_edges_[n.index()])
-      if (needed(edges_[e]) && edges_[e].tokens == 0) return;
-    for (std::size_t e : in_edges_[n.index()])
-      if (needed(edges_[e])) --edges_[e].tokens;
-    if (g_.node(n).kind == NodeKind::kLoop) loop_active_.insert(n.value());
-    if (in_edges_[n.index()].empty()) fired_source_.insert(n.value());
-    busy_.insert(n.value());
+    const bool is_loop = node.kind == NodeKind::kLoop;
+    const bool active_loop = is_loop && st.loop_active;
+    auto needed = [&](std::uint32_t e) { return !(active_loop && m_.edges[e].loop_entry); };
+    for (std::uint32_t i = node.in_begin; i < node.in_end; ++i) {
+      const std::uint32_t e = m_.in_edges[i];
+      if (needed(e) && tokens_[e] == 0) return;
+    }
+    for (std::uint32_t i = node.in_begin; i < node.in_end; ++i) {
+      const std::uint32_t e = m_.in_edges[i];
+      if (needed(e)) --tokens_[e];
+    }
+    if (is_loop) st.loop_active = true;
+    st.busy = true;
+    busy_list_.push_back(n);
     ++result_.firings;
 
-    // Sample inputs now (operands are latched into the datapath when the
-    // operation starts); writes land at completion.
-    const Node& node = g_.node(n);
-    Pending p;
-    p.firing_index = fire_count_[n.value()]++;
-    p.active = blocks_active(n);
-    if (node.kind == NodeKind::kOperation || node.kind == NodeKind::kAssign) {
-      for (const auto& s : node.stmts) {
-        std::map<std::string, std::int64_t> scratch = result_.registers;
-        execute_statement(s, scratch);
-        p.writes.emplace_back(s.dest, scratch[s.dest]);
-      }
-    } else if (node.kind == NodeKind::kLoop || node.kind == NodeKind::kIf) {
-      p.cond = result_.registers[node.cond_reg];
-    }
-    pending_[n.value()] = std::move(p);
+    ++st.firings;
+    st.active = blocks_active(node);
+    // The timing harness is data-independent and leaves the datapath alone.
+    if (!harness_) sample_inputs(node, st);
 
-    if (opts_.record_times) result_.fire_times[n.value()].push_back(now);
+    if (watch_ && !watch_->on_fire(NodeId{n}, now)) {
+      result_.stopped = true;
+      return;
+    }
 
     // Iteration-overlap metric: the spread of firing indices among
     // concurrently busy nodes of the same loop.
-    if (auto ctx = loop_of(n)) {
-      int lo = pending_[n.value()].firing_index, hi = lo;
-      for (auto bn : busy_) {
-        NodeId other{bn};
-        if (loop_of(other) != ctx) continue;
-        auto it = pending_.find(bn);
-        if (it == pending_.end()) continue;
-        lo = std::min(lo, it->second.firing_index);
-        hi = std::max(hi, it->second.firing_index);
+    if (node.loop >= 0) {
+      int lo = st.firings, hi = lo;
+      for (std::uint32_t other : busy_list_) {
+        if (m_.nodes[other].loop != node.loop) continue;
+        lo = std::min(lo, state_[other].firings);
+        hi = std::max(hi, state_[other].firings);
       }
       result_.max_overlap = std::max(result_.max_overlap, hi - lo + 1);
     }
 
-    events_.push(Event{now + draw_delay(node), seq_++, n});
+    events_.push(Event{now + draw_delay(node.delay), seq_++, n});
+  }
+
+  // Operands are latched into the datapath when the operation starts;
+  // writes land at completion.  LOOP/IF nodes sample their condition.
+  void sample_inputs(const Model::NodeInfo& node, NodeState& st) {
+    if (node.kind == NodeKind::kOperation || node.kind == NodeKind::kAssign) {
+      for (std::uint32_t i = node.stmt_begin; i < node.stmt_end; ++i) {
+        const Model::Stmt& s = m_.stmts[i];
+        const std::int64_t l = operand(s.rtl.lhs, s.lhs_slot);
+        const std::int64_t r = s.rtl.rhs ? operand(*s.rtl.rhs, s.rhs_slot) : 0;
+        writes_[i] = alu_compute(s.rtl.op, l, r);
+      }
+    } else if (node.kind == NodeKind::kLoop || node.kind == NodeKind::kIf) {
+      const auto c = static_cast<std::size_t>(node.cond_slot);
+      st.cond = regs_[c];
+      present_[c] = 1;
+    }
   }
 
   // True when every enclosing IF block is currently active.
-  bool blocks_active(NodeId n) const {
-    BlockId b = g_.node(n).block;
-    while (b.valid()) {
-      const Block& blk = g_.block(b);
-      if (blk.kind == NodeKind::kIf && !if_active_.count(b.value())) return false;
-      b = blk.parent;
-    }
+  bool blocks_active(const Model::NodeInfo& node) const {
+    for (std::uint32_t i = node.if_begin; i < node.if_end; ++i)
+      if (!if_active_[m_.if_chain[i]]) return false;
     return true;
   }
 
-  void produce(std::size_t eidx, std::int64_t now) {
-    SimEdge& e = edges_[eidx];
-    ++e.tokens;
-    if (opts_.check_wire_discipline && e.inter_controller && e.tokens > 1) {
+  void produce(std::uint32_t e, std::int64_t now) {
+    ++tokens_[e];
+    const Model::Edge& edge = m_.edges[e];
+    if (opts_.check_wire_discipline && edge.inter_controller && tokens_[e] > 1) {
       result_.error = "wire discipline violated: two transitions queued on " +
-                      g_.node(e.src).label() + " -> " + g_.node(e.dst).label();
+                      m_.label(edge.src) + " -> " + m_.label(edge.dst);
       return;
     }
-    try_fire(e.dst, now);
+    try_fire(edge.dst, now);
   }
 
-  void complete(NodeId n, std::int64_t now) {
-    busy_.erase(n.value());
-    const Node& node = g_.node(n);
-    Pending p = pending_[n.value()];
-    if (opts_.record_times) result_.completion_times[n.value()].push_back(now);
+  void complete(std::uint32_t n, std::int64_t now) {
+    NodeState& st = state_[n];
+    st.busy = false;
+    busy_list_.erase(std::find(busy_list_.begin(), busy_list_.end(), n));
+    const Model::NodeInfo& node = m_.nodes[n];
+    if (watch_ && !watch_->on_complete(NodeId{n}, now)) {
+      result_.stopped = true;
+      return;
+    }
 
     bool loop_continue = false;
     switch (node.kind) {
       case NodeKind::kOperation:
       case NodeKind::kAssign:
-        if (p.active)
-          for (const auto& [reg, value] : p.writes) result_.registers[reg] = value;
+        if (st.active && !harness_)
+          for (std::uint32_t i = node.stmt_begin; i < node.stmt_end; ++i) {
+            const auto d = static_cast<std::size_t>(m_.stmts[i].dest_slot);
+            regs_[d] = writes_[i];
+            present_[d] = 1;
+          }
         break;
       case NodeKind::kLoop: {
-        if (opts_.forced_loop_iterations >= 0)
-          loop_continue = p.firing_index < opts_.forced_loop_iterations;
+        if (harness_)
+          loop_continue = st.firings - 1 < opts_.forced_loop_iterations;
         else
-          loop_continue = p.active && p.cond != 0;
-        if (!loop_continue) loop_active_.erase(n.value());
+          loop_continue = st.active && st.cond != 0;
+        if (!loop_continue) st.loop_active = false;
         if (loop_continue) ++result_.loop_iterations;
         break;
       }
       case NodeKind::kIf: {
-        auto b = rooted_block(n);
-        bool taken = opts_.forced_loop_iterations >= 0 ? p.active : (p.active && p.cond != 0);
-        if (taken)
-          if_active_.insert(b->value());
-        else
-          if_active_.erase(b->value());
+        const bool taken = harness_ ? st.active : (st.active && st.cond != 0);
+        if_active_[static_cast<std::size_t>(node.rooted_block)] = taken;
         break;
       }
       case NodeKind::kEnd:
@@ -292,19 +360,20 @@ class TokenSim {
         break;
     }
 
-    for (std::size_t eidx : out_edges_[n.index()]) {
-      const SimEdge& e = edges_[eidx];
+    for (std::uint32_t i = node.out_begin; i < node.out_end; ++i) {
+      const std::uint32_t e = m_.out_edges[i];
       if (node.kind == NodeKind::kLoop) {
         // Body arcs fire on continue, exit arcs on termination.  The
         // implicit wrap edges (not body, not exit) re-enable the root and
         // are produced on continue only; on exit the controller leaves the
         // loop for good.
-        bool is_wrap = !e.loop_body && !e.loop_exit;
-        if (loop_continue && e.loop_exit) continue;
-        if (!loop_continue && (e.loop_body || is_wrap)) continue;
+        const Model::Edge& edge = m_.edges[e];
+        bool is_wrap = !edge.loop_body && !edge.loop_exit;
+        if (loop_continue && edge.loop_exit) continue;
+        if (!loop_continue && (edge.loop_body || is_wrap)) continue;
       }
-      produce(eidx, now);
-      if (!result_.error.empty()) return;
+      produce(e, now);
+      if (halted()) return;
     }
     // The node itself may be immediately re-enabled (next iteration).
     try_fire(n, now);
@@ -314,39 +383,35 @@ class TokenSim {
     // List nodes that hold some but not all of their input tokens — those
     // are the ones genuinely stuck (fully starved nodes are quiescent).
     std::string msg = "deadlock: END never fired; waiting nodes:";
-    for (NodeId n : g_.node_ids()) {
+    for (std::uint32_t n : m_.live_nodes) {
+      const Model::NodeInfo& node = m_.nodes[n];
       int have = 0, need = 0;
-      for (std::size_t e : in_edges_[n.index()]) {
+      for (std::uint32_t i = node.in_begin; i < node.in_end; ++i) {
         ++need;
-        if (edges_[e].tokens > 0) ++have;
+        if (tokens_[m_.in_edges[i]] > 0) ++have;
       }
       if (need > 0 && have > 0 && have < need)
-        msg += " [" + g_.node(n).label() + " " + std::to_string(have) + "/" +
+        msg += " [" + m_.label(n) + " " + std::to_string(have) + "/" +
                std::to_string(need) + "]";
     }
     return msg;
   }
 
-  const Cdfg& g_;
-  TokenSimOptions opts_;
+  const Model& m_;
+  const TokenSimOptions& opts_;
+  TokenSimWatch* watch_;
+  const bool harness_;
   std::mt19937_64 rng_;
   TokenSimResult result_;
-  std::vector<SimEdge> edges_;
-  std::vector<std::vector<std::size_t>> in_edges_, out_edges_;
-  struct Pending {
-    std::vector<std::pair<std::string, std::int64_t>> writes;
-    std::int64_t cond = 0;
-    int firing_index = 0;
-    bool active = true;
-  };
-
+  std::vector<int> tokens_;  // per edge
+  std::vector<NodeState> state_;
+  std::vector<std::uint32_t> busy_list_;
+  std::vector<std::int64_t> writes_;  // per statement
+  std::vector<char> if_active_;       // per block
+  // Per register slot; `present_` marks the registers the result reports.
+  std::vector<std::int64_t> regs_;
+  std::vector<char> present_;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
-  std::set<NodeId::underlying> busy_;
-  std::map<NodeId::underlying, Pending> pending_;
-  std::map<NodeId::underlying, int> fire_count_;
-  std::set<BlockId::underlying> if_active_;
-  std::set<NodeId::underlying> fired_source_;
-  std::set<NodeId::underlying> loop_active_;
   std::int64_t seq_ = 0;
 };
 
@@ -405,10 +470,116 @@ struct Sequential {
 
 }  // namespace
 
+TokenSimModel::Compiled::Compiled(const Cdfg& g, const DelayModel& delays)
+    : edges(build_edges(g)), block_count(g.block_ids().size()) {
+  for (NodeId id : g.node_ids()) live_nodes.push_back(id.value());
+
+  // Register slots in name order.  A LOOP/IF condition gets a slot even when
+  // unnamed: the run reads it like any register.
+  for (std::uint32_t n : live_nodes) {
+    const Node& node = g.node(NodeId{n});
+    if (node.kind == NodeKind::kLoop || node.kind == NodeKind::kIf)
+      registers.push_back(node.cond_reg);
+    for (const RtlStatement& st : node.stmts) {
+      registers.push_back(st.dest);
+      if (st.lhs.is_reg()) registers.push_back(st.lhs.reg);
+      if (st.rhs && st.rhs->is_reg()) registers.push_back(st.rhs->reg);
+    }
+  }
+  std::sort(registers.begin(), registers.end());
+  registers.erase(std::unique(registers.begin(), registers.end()), registers.end());
+
+  const std::size_t count = g.node_capacity();
+  nodes.resize(count);
+  for (std::uint32_t n : live_nodes) {
+    const NodeId id{n};
+    const Node& node = g.node(id);
+    NodeInfo& info = nodes[n];
+    info.kind = node.kind;
+    info.alive = true;
+    switch (node.kind) {
+      case NodeKind::kOperation:
+        info.delay = delays.op_delay(g.fu(node.fu).cls);
+        break;
+      case NodeKind::kAssign:
+        info.delay = delays.move;
+        break;
+      default:
+        info.delay = delays.control;
+        break;
+    }
+    if (node.kind == NodeKind::kLoop || node.kind == NodeKind::kIf) {
+      info.cond_slot = slot(node.cond_reg);
+      if (auto b = rooted_block(g, id)) info.rooted_block = static_cast<int>(b->value());
+    }
+    info.loop = loop_of(g, id);
+    info.if_begin = static_cast<std::uint32_t>(if_chain.size());
+    for (BlockId b = node.block; b.valid(); b = g.block(b).parent)
+      if (g.block(b).kind == NodeKind::kIf) if_chain.push_back(b.value());
+    info.if_end = static_cast<std::uint32_t>(if_chain.size());
+    info.stmt_begin = static_cast<std::uint32_t>(stmts.size());
+    if (node.kind == NodeKind::kOperation || node.kind == NodeKind::kAssign) {
+      for (const RtlStatement& s : node.stmts) {
+        Stmt c{s};
+        if (s.lhs.is_reg()) c.lhs_slot = slot(s.lhs.reg);
+        if (s.rhs && s.rhs->is_reg()) c.rhs_slot = slot(s.rhs->reg);
+        c.dest_slot = slot(s.dest);
+        stmts.push_back(std::move(c));
+      }
+    }
+    info.stmt_end = static_cast<std::uint32_t>(stmts.size());
+  }
+
+  // In/out edge indices per node, in edge order.
+  auto index = [&](auto endpoint, std::uint32_t NodeInfo::*begin, std::uint32_t NodeInfo::*end,
+                   std::vector<std::uint32_t>& out) {
+    std::vector<std::uint32_t> degree(count + 1, 0);
+    for (const Edge& e : edges) ++degree[endpoint(e) + 1];
+    for (std::size_t n = 0; n < count; ++n) degree[n + 1] += degree[n];
+    for (std::size_t n = 0; n < count; ++n) {
+      nodes[n].*begin = degree[n];
+      nodes[n].*end = degree[n];
+    }
+    out.resize(edges.size());
+    for (std::uint32_t e = 0; e < edges.size(); ++e)
+      out[(nodes[endpoint(edges[e])].*end)++] = e;
+  };
+  index([](const Edge& e) { return e.src; }, &NodeInfo::out_begin, &NodeInfo::out_end,
+        out_edges);
+  index([](const Edge& e) { return e.dst; }, &NodeInfo::in_begin, &NodeInfo::in_end, in_edges);
+}
+
+int TokenSimModel::Compiled::slot(const std::string& reg) const {
+  auto it = std::lower_bound(registers.begin(), registers.end(), reg);
+  return it != registers.end() && *it == reg ? static_cast<int>(it - registers.begin()) : -1;
+}
+
+std::string TokenSimModel::Compiled::label(std::uint32_t n) const {
+  const NodeInfo& info = nodes[n];
+  if (info.kind != NodeKind::kOperation && info.kind != NodeKind::kAssign)
+    return to_string(info.kind);
+  std::string out;
+  for (std::uint32_t i = info.stmt_begin; i < info.stmt_end; ++i) {
+    if (!out.empty()) out += "; ";
+    out += stmts[i].rtl.to_string();
+  }
+  return out;
+}
+
+TokenSimModel::TokenSimModel(const Cdfg& g, const DelayModel& delays)
+    : compiled_(std::make_unique<const Compiled>(g, delays)) {}
+
+TokenSimModel::~TokenSimModel() = default;
+
+TokenSimResult TokenSimModel::run(const std::map<std::string, std::int64_t>& initial_registers,
+                                  const TokenSimOptions& opts, TokenSimWatch* watch) const {
+  return TokenRun(*compiled_, initial_registers, opts, watch).run();
+}
+
 TokenSimResult run_token_sim(const Cdfg& g,
                              const std::map<std::string, std::int64_t>& initial_registers,
                              const TokenSimOptions& opts) {
-  return TokenSim(g, initial_registers, opts).run();
+  return TokenSimModel(g).run(initial_registers, opts);
 }
 
 std::map<std::string, std::int64_t> run_sequential(

@@ -58,12 +58,17 @@ struct Gt3Options {
 //  1. structural: the candidate's source provably precedes the source of a
 //     remaining incoming arc (pure precedence, delay-independent);
 //  2. timing verification: a data-independent timing harness simulates the
-//     relaxed system under the delay model (corner cases plus randomized
-//     assignments) and checks that the candidate's event always arrives
-//     `margin` before the destination fires.  This mirrors the paper's
-//     "detailed timing analysis must be performed": the result is valid
-//     exactly under the declared delay model, which is the nature of a
-//     relative-timing assumption.
+//     relaxed system under the delay model (the all-max and all-min corners,
+//     then `samples` seeded randomized assignments) and checks that the
+//     candidate's event always arrives `margin` before the destination
+//     fires.  The relaxed graph is compiled into one TokenSimModel per
+//     candidate and every trial runs over it; a TokenSimWatch on the
+//     source's completions and the destination's firings stops a trial at
+//     the first late arrival, and the first failing trial keeps the arc.
+//     A trial that deadlocks or runs away keeps it too.  This mirrors the
+//     paper's "detailed timing analysis must be performed": the result is
+//     valid exactly under the declared delay model, which is the nature of
+//     a relative-timing assumption.
 TransformResult gt3_relative_timing(Cdfg& g, const DelayModel& delays,
                                     const Gt3Options& opts = {});
 

@@ -1,5 +1,6 @@
 #include "transforms/script.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <stdexcept>
 
@@ -52,6 +53,20 @@ long to_long(const std::string& v, std::size_t pos) {
   }
 }
 
+// gt3's accepted option ranges: `samples` is a count of simulated trials
+// (an int), and `margin` is added to simulated times, which must not
+// overflow.
+constexpr long kMaxGt3Samples = 100000;
+constexpr long kMaxGt3Margin = 1000000000;
+
+// True when the all-digit string `v` denotes a value of at most `limit`.
+bool at_most(const std::string& v, long limit) {
+  const std::size_t first = std::min(v.find_first_not_of('0'), v.size());
+  const std::string digits = v.substr(first);
+  return digits.size() <= std::to_string(limit).size() &&
+         (digits.empty() || std::stol(digits) <= limit);
+}
+
 bool flag_set(const std::vector<std::pair<std::string, std::string>>& args,
               const std::string& name) {
   for (const auto& [k, v] : args)
@@ -102,6 +117,9 @@ TransformScript TransformScript::parse(const std::string& source) {
         if (key != "margin" && key != "samples")
           fail("gt3: unknown option '" + key + "'", at);
         if (!is_num(value)) fail("gt3: " + key + " needs a numeric value", at);
+        const long limit = key == "samples" ? kMaxGt3Samples : kMaxGt3Margin;
+        if (!at_most(value, limit))
+          fail("gt3: " + key + " must be at most " + std::to_string(limit), at);
       }
       if (step.name == "gt5") {
         if (key == "broadcast") {

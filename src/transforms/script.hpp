@@ -11,7 +11,8 @@
 //   gt1                         loop parallelism
 //   gt2 | gt2(all)              dominated-constraint removal (all: also
 //                               intra-controller arcs)
-//   gt3(margin=N, samples=N)    relative-timing removal
+//   gt3(margin=N, samples=N)    relative-timing removal (margin at most
+//                               1000000000, samples at most 100000)
 //   gt4                         assignment merging
 //   gt5(broadcast=first|all|none, no_mux, no_sym, concred)
 //                               channel elimination

@@ -78,6 +78,21 @@ TEST(Script, RejectsMalformedInput) {
   EXPECT_THROW(TransformScript::parse("gt3(margin=abc)"), std::invalid_argument);
   EXPECT_THROW(TransformScript::parse("gt5(broadcast=sideways)"), std::invalid_argument);
   EXPECT_THROW(TransformScript::parse("gt3(margin"), std::invalid_argument);
+  // Out of range: a sample count past int, a margin that would overflow the
+  // simulated-time check.
+  EXPECT_THROW(TransformScript::parse("gt3(samples=4294967296)"), std::invalid_argument);
+  EXPECT_THROW(TransformScript::parse("gt3(margin=9223372036854775807)"),
+               std::invalid_argument);
+  EXPECT_THROW(TransformScript::parse("gt3(margin=99999999999999999999999)"),
+               std::invalid_argument);
+  try {
+    TransformScript::parse("gt1; gt3(samples=100001)");
+    ADD_FAILURE() << "samples=100001 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("offset 5"), std::string::npos) << e.what();
+  }
+  EXPECT_NO_THROW(TransformScript::parse("gt3(samples=100000, margin=1000000000)"));
+  EXPECT_NO_THROW(TransformScript::parse("gt3(samples=0, margin=0000000000000000000001)"));
 }
 
 TEST(Script, FullFlowThroughScript) {

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "frontend/benchmarks.hpp"
+#include "frontend/parser.hpp"
 #include "sim/golden.hpp"
 #include "sim/token_sim.hpp"
 
@@ -183,23 +184,96 @@ TEST(TokenSim, TimingHarnessForcesIterations) {
   auto r = run_token_sim(g, {}, o);  // no initial registers at all
   EXPECT_TRUE(r.completed) << r.error;
   EXPECT_EQ(r.loop_iterations, 3);
+  EXPECT_TRUE(r.registers.empty()) << "the harness evaluates no statement";
 }
+
+// Records every firing and completion time per node through the watch.
+struct TimeLog : TokenSimWatch {
+  std::map<std::uint32_t, std::vector<std::int64_t>> fires, completions;
+  bool on_fire(NodeId n, std::int64_t t) override {
+    fires[n.value()].push_back(t);
+    return true;
+  }
+  bool on_complete(NodeId n, std::int64_t t) override {
+    completions[n.value()].push_back(t);
+    return true;
+  }
+};
 
 TEST(TokenSim, RecordTimesProducesMonotonicPerNodeHistory) {
   Cdfg g = diffeq();
-  TokenSimOptions o;
-  o.record_times = true;
-  auto r = run_token_sim(g, diffeq_init(), o);
+  TimeLog log;
+  auto r = TokenSimModel(g).run(diffeq_init(), {}, &log);
   ASSERT_TRUE(r.completed) << r.error;
-  EXPECT_FALSE(r.fire_times.empty());
-  for (const auto& [node, times] : r.fire_times) {
+  EXPECT_FALSE(r.stopped);
+  EXPECT_FALSE(log.fires.empty());
+  for (const auto& [node, times] : log.fires) {
     for (std::size_t i = 1; i < times.size(); ++i)
       EXPECT_LE(times[i - 1], times[i]) << "node " << node;
-    auto cit = r.completion_times.find(node);
-    ASSERT_NE(cit, r.completion_times.end());
+    auto cit = log.completions.find(node);
+    ASSERT_NE(cit, log.completions.end());
     for (std::size_t i = 0; i < cit->second.size() && i < times.size(); ++i)
       EXPECT_LT(times[i], cit->second[i]);
   }
+}
+
+TEST(TokenSim, WatchedRunMatchesUnwatchedRun) {
+  Cdfg g = diffeq();
+  const TokenSimModel model(g);
+  for (unsigned seed = 1; seed <= 4; ++seed) {
+    TokenSimOptions o;
+    o.seed = seed;
+    TimeLog log;
+    auto watched = model.run(diffeq_init(), o, &log);
+    auto plain = run_token_sim(g, diffeq_init(), o);
+    EXPECT_EQ(watched.registers, plain.registers) << "seed " << seed;
+    EXPECT_EQ(watched.finish_time, plain.finish_time) << "seed " << seed;
+    EXPECT_EQ(watched.firings, plain.firings) << "seed " << seed;
+    std::int64_t fired = 0;
+    for (const auto& [node, times] : log.fires) fired += static_cast<std::int64_t>(times.size());
+    EXPECT_EQ(fired, plain.firings);
+  }
+}
+
+TEST(TokenSim, WatchStopsTheRunWithoutAnError) {
+  // Stop at the third completion of anything: the run reports neither a
+  // deadlock nor a runaway, and END has not fired.
+  struct StopAtThird : TokenSimWatch {
+    int completions = 0;
+    bool on_complete(NodeId, std::int64_t) override { return ++completions < 3; }
+  } watch;
+  Cdfg g = diffeq();
+  auto r = TokenSimModel(g).run(diffeq_init(), {}, &watch);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_FALSE(r.completed);
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_EQ(watch.completions, 3);
+
+  // A watch that refuses the very first firing stops before any event.
+  struct StopAtOnce : TokenSimWatch {
+    bool on_fire(NodeId, std::int64_t) override { return false; }
+  } refuse;
+  auto first = TokenSimModel(g).run(diffeq_init(), {}, &refuse);
+  EXPECT_TRUE(first.stopped);
+  EXPECT_TRUE(first.error.empty()) << first.error;
+  EXPECT_EQ(first.firings, 1);
+}
+
+TEST(TokenSim, FreeRunningGraphIsReportedAsRunaway) {
+  // Nothing ever writes the loop condition: the loop spins until the
+  // firing budget is spent.
+  Cdfg g = parse_program(R"(program spin {
+    fu ALU1 : alu;
+    loop C on ALU1 {
+      ALU1: x := x + 1;
+    }
+  })");
+  TokenSimOptions o;
+  o.max_firings = 2000;
+  auto r = run_token_sim(g, {{"x", 0}, {"C", 1}}, o);
+  EXPECT_FALSE(r.completed);
+  EXPECT_FALSE(r.stopped);
+  EXPECT_NE(r.error.find("runaway simulation"), std::string::npos) << r.error;
 }
 
 TEST(TokenSim, RandomProgramsMatchSequential) {
