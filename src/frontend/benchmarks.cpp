@@ -154,7 +154,7 @@ Cdfg random_program(const RandomProgramParams& params, std::uint64_t seed) {
                        : alus[static_cast<std::size_t>(pick(params.alus))];
       std::string d = reg(), l = reg(), r = reg();
       const char* op = mul_op ? "*" : (pick(2) == 0 ? "+" : "-");
-      if (!mul_op && pick(6) == 0) {
+      if (!mul_op && pick(6) == 0 && params.moves) {
         b.stmt(fu, d + " := " + l);  // occasional pure assignment
       } else {
         b.stmt(fu, d + " := " + l + " " + op + " " + r);

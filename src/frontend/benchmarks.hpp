@@ -51,6 +51,9 @@ struct RandomProgramParams {
   int stmts = 12;       // loop-body statements
   bool with_loop = true;
   int regs = 6;         // size of the register pool
+  // One ALU statement in six is a pure move `d := l`; false turns those
+  // into binary operations and leaves the rest of the program unchanged.
+  bool moves = true;
 };
 
 // A pseudo-random but always-valid scheduled CDFG (deterministic in `seed`).

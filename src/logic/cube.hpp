@@ -187,9 +187,12 @@ class Cube {
   }
 
   // Raw mask access for word-parallel consumers (fingerprinting,
-  // serialization).  can0 at words()[0..word_count), can1 after it.
+  // serialization, the minimizer's expansion).  can0 at
+  // words()[0..word_count), can1 after it.  A writer keeps the bits past
+  // var_count() zero.
   std::size_t word_count() const { return words_; }
   const std::uint64_t* words() const { return data(); }
+  std::uint64_t* words() { return data(); }
 
   // Rendering: one character per variable (0, 1, -).
   std::string to_string() const;
@@ -224,16 +227,22 @@ class CubeSet {
 
   // True when the cube was new.
   bool insert(const Cube& c) {
+    const std::size_t before = items_.size();
+    return id(c) == before;
+  }
+  // The cube's index in items(), inserting it when new: ids are dense and
+  // in first-insertion order.
+  std::size_t id(const Cube& c) {
     if ((items_.size() + 1) * 4 >= slots_.size() * 3) rehash(slots_.size() * 2);
     std::size_t mask = slots_.size() - 1;
     std::size_t i = static_cast<std::size_t>(c.hash()) & mask;
     while (slots_[i] != kEmpty) {
-      if (items_[slots_[i]] == c) return false;
+      if (items_[slots_[i]] == c) return slots_[i];
       i = (i + 1) & mask;
     }
     slots_[i] = items_.size();
     items_.push_back(c);
-    return true;
+    return slots_[i];
   }
 
   std::size_t size() const { return items_.size(); }

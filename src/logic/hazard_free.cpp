@@ -21,61 +21,316 @@ bool implicant_valid(const FunctionSpec& f, const Cube& p) {
 
 namespace {
 
-// Per-call view of the spec with the OFF list reduced to its maximal
-// cubes: a cube intersecting an OFF cube also intersects any OFF cube
-// containing it, so only maximal ones can decide the "hits OFF?" tests
-// the growth loops hammer.
-struct SpecCtx {
-  const FunctionSpec& f;
-  std::vector<Cube> off;
+using Word = std::uint64_t;
 
-  explicit SpecCtx(const FunctionSpec& spec) : f(spec) {
-    off.reserve(spec.off.size());
-    for (std::size_t i = 0; i < spec.off.size(); ++i) {
-      bool dominated = false;
-      for (std::size_t j = 0; j < spec.off.size() && !dominated; ++j)
-        if (i != j && spec.off[j].contains(spec.off[i]) &&
-            !(j > i && spec.off[i] == spec.off[j]))
-          dominated = true;
-      if (!dominated) off.push_back(spec.off[i]);
+bool test_bit(const Word* mask, std::size_t i) { return (mask[i / 64] >> (i % 64)) & 1; }
+void set_bit(Word* mask, std::size_t i) { mask[i / 64] |= Word{1} << (i % 64); }
+void clear_bit(Word* mask, std::size_t i) { mask[i / 64] &= ~(Word{1} << (i % 64)); }
+
+// Calls fn(i) for every set bit i of a `words`-word mask, in ascending order.
+template <class Fn>
+void for_each_bit(const Word* mask, std::size_t words, Fn fn) {
+  for (std::size_t w = 0; w < words; ++w)
+    for (Word b = mask[w]; b; b &= b - 1)
+      fn(w * 64 + static_cast<std::size_t>(__builtin_ctzll(b)));
+}
+
+// The fixed variables of a cube in Cube's layout (can0 words, then can1).
+void fixed_vars(const Word* c, std::size_t words, Word* out) {
+  for (std::size_t w = 0; w < words; ++w) out[w] = c[w] ^ c[words + w];
+}
+
+// A list of cubes stored by variable: for each variable u and value x, the
+// set of cubes (one bit each) fixed to x at u.  Two cubes are disjoint
+// exactly when some variable is fixed to opposite values in them, so the
+// cubes a cube c is disjoint from are the union, over c's fixed variables,
+// of the sets fixed to the other value — a few row ORs instead of a pass
+// over the list.
+struct Columns {
+  std::size_t n = 0;       // cubes
+  std::size_t words = 0;   // per set
+  std::vector<Word> sets;  // (2 * var + value) * words
+
+  Columns(const std::vector<const Cube*>& cubes, std::size_t vars, std::size_t cube_words)
+      : n(cubes.size()), words((cubes.size() + 63) / 64), sets(2 * vars * words, 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Word* c = cubes[i]->words();
+      for (std::size_t w = 0; w < cube_words; ++w) {
+        for (Word b = c[w] & ~c[cube_words + w]; b; b &= b - 1)
+          set_bit(row(w * 64 + static_cast<std::size_t>(__builtin_ctzll(b)), false), i);
+        for (Word b = c[cube_words + w] & ~c[w]; b; b &= b - 1)
+          set_bit(row(w * 64 + static_cast<std::size_t>(__builtin_ctzll(b)), true), i);
+      }
     }
   }
+  Word* row(std::size_t var, bool one) { return sets.data() + (2 * var + one) * words; }
+  const Word* row(std::size_t var, bool one) const {
+    return sets.data() + (2 * var + one) * words;
+  }
+  // The cubes disjoint from cube `c` at its fixed variable `var`.
+  const Word* against(const Word* c, std::size_t cube_words, std::size_t var) const {
+    return row(var, !test_bit(c + cube_words, var));
+  }
+  // `out` = the cubes disjoint from `c`, given c's fixed variables.
+  void disjoint(const Word* c, const Word* fixed, std::size_t cube_words, Word* out) const {
+    std::fill(out, out + words, Word{0});
+    for_each_bit(fixed, cube_words, [&](std::size_t var) {
+      const Word* r = against(c, cube_words, var);
+      for (std::size_t k = 0; k < words; ++k) out[k] |= r[k];
+    });
+  }
+  // True when every cube is in `mask`.
+  bool all(const Word* mask) const {
+    for (std::size_t k = 0; k + 1 < words; ++k)
+      if (~mask[k]) return false;
+    if (words == 0) return true;
+    const Word last = n % 64 == 0 ? ~Word{0} : (Word{1} << (n % 64)) - 1;
+    return (mask[words - 1] & last) == last;
+  }
+};
+
+std::vector<const Cube*> pointers(const std::vector<Cube>& cubes) {
+  std::vector<const Cube*> out;
+  out.reserve(cubes.size());
+  for (const auto& c : cubes) out.push_back(&c);
+  return out;
+}
+
+// The cubes of `cubes` that no other cube contains, in list order, one of
+// each value (the first).  Used for the OFF list — a cube meeting an OFF
+// cube also meets every OFF cube containing it, so "hits OFF?" against the
+// maximal ones is exact — and for the required cubes, where a product
+// holding a cube holds every cube inside it.
+std::vector<const Cube*> maximal(const std::vector<Cube>& cubes, std::size_t vars,
+                                  std::size_t cube_words) {
+  const Columns all(pointers(cubes), vars, cube_words);
+  std::vector<Word> bad(all.words);
+  std::vector<const Cube*> out;
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    // Cube j fails to contain cube i at a variable where i admits a value
+    // j is not fixed to.
+    const Word* c = cubes[i].words();
+    std::fill(bad.begin(), bad.end(), Word{0});
+    for (std::size_t var = 0; var < vars; ++var) {
+      const Word* r0 = all.row(var, false);
+      const Word* r1 = all.row(var, true);
+      const Word admits0 = test_bit(c, var) ? ~Word{0} : 0;
+      const Word admits1 = test_bit(c + cube_words, var) ? ~Word{0} : 0;
+      for (std::size_t k = 0; k < all.words; ++k)
+        bad[k] |= (admits0 & r1[k]) | (admits1 & r0[k]);
+    }
+    set_bit(bad.data(), i);  // not its own container
+    bool dominated = false;
+    for (std::size_t k = 0; k < all.words && !dominated; ++k)
+      for (Word b = ~bad[k]; b && !dominated; b &= b - 1) {
+        const std::size_t j = k * 64 + static_cast<std::size_t>(__builtin_ctzll(b));
+        if (j >= cubes.size()) break;
+        dominated = !(j > i && cubes[i] == cubes[j]);
+      }
+    if (!dominated) out.push_back(&cubes[i]);
+  }
+  return out;
+}
+
+}  // namespace
+
+// The maximal OFF cubes and the dynamic transition cubes by variable, and
+// the anchors as a flat word array in Cube's layout.
+struct CompiledSpec::Tables {
+  std::size_t vars = 0;
+  std::size_t words = 0;  // per cube mask
+  Columns off;
+  Columns dyn;
+  std::vector<Word> anchors;  // dyn.n * 2 * words
+
+  explicit Tables(const FunctionSpec& f)
+      : vars(f.vars),
+        words((f.vars + Cube::kBitsPerWord - 1) / Cube::kBitsPerWord),
+        off(maximal(f.off, vars, words), vars, words),
+        dyn(transitions(f), vars, words) {
+    for (const auto& d : f.dynamic) {
+      const Cube& a = d.type == HfType::kRise ? d.b : d.a;
+      anchors.insert(anchors.end(), a.words(), a.words() + 2 * words);
+    }
+  }
+  static std::vector<const Cube*> transitions(const FunctionSpec& f) {
+    std::vector<const Cube*> out;
+    for (const auto& d : f.dynamic) out.push_back(&d.t);
+    return out;
+  }
+  const Word* anchor(std::size_t i) const { return anchors.data() + i * 2 * words; }
+};
+
+CompiledSpec::CompiledSpec(const FunctionSpec& f)
+    : spec_(&f), tables_(std::make_unique<Tables>(f)) {}
+CompiledSpec::~CompiledSpec() = default;
+CompiledSpec::CompiledSpec(CompiledSpec&&) noexcept = default;
+CompiledSpec& CompiledSpec::operator=(CompiledSpec&&) noexcept = default;
+
+namespace {
+
+using Tables = CompiledSpec::Tables;
+
+// Scratch masks of one closure, kept by the caller so loops do not allocate.
+// After a successful closure `fixed` holds the closed cube's fixed variables.
+struct ClosureScratch {
+  std::vector<Word> fixed, off_disjoint, dyn_disjoint;
 };
 
 // Closes a cube under the dynamic-transition anchor rules: whenever it
 // intersects a dynamic transition it absorbs the anchor point, repeating to
 // a fixpoint.  Fails (false) if the closure runs into an OFF region — then
-// no dhf implicant contains the cube at all.  Mutates `c` in place; no
-// allocations on the fast (inline-storage) path.
-bool grow_to_valid(const SpecCtx& s, Cube& c) {
-  bool changed = true;
-  while (changed) {
+// no dhf implicant contains the cube at all.  Mutates `c` in place.  The
+// closure is the least closed cube containing `c`, whatever the order of
+// absorption, and an OFF region met on the way is met by the closure too,
+// so OFF is checked once, at the fixpoint.
+bool grow_to_valid(const Tables& s, Cube& c, ClosureScratch& t) {
+  Word* d = c.words();
+  const std::size_t W = s.words;
+  t.fixed.resize(W);
+  t.dyn_disjoint.resize(s.dyn.words);
+  t.off_disjoint.resize(s.off.words);
+  for (bool changed = true; changed;) {
     changed = false;
-    for (const auto& o : s.off)
-      if (c.intersects(o)) return false;
-    for (const auto& d : s.f.dynamic) {
-      if (!c.intersects(d.t)) continue;
-      const Cube& anchor = d.type == HfType::kRise ? d.b : d.a;
-      if (c.contains(anchor)) continue;
-      c.supercube_with(anchor);
-      changed = true;
+    fixed_vars(d, W, t.fixed.data());
+    s.dyn.disjoint(d, t.fixed.data(), W, t.dyn_disjoint.data());
+    for (std::size_t i = 0; i < s.dyn.n; ++i) {
+      if (test_bit(t.dyn_disjoint.data(), i)) continue;
+      const Word* a = s.anchor(i);
+      for (std::size_t w = 0; w < 2 * W; ++w) {
+        changed = changed || (a[w] & ~d[w]);
+        d[w] |= a[w];
+      }
     }
   }
-  return true;
+  s.off.disjoint(d, t.fixed.data(), W, t.off_disjoint.data());
+  return s.off.all(t.off_disjoint.data());
 }
 
-// Grows a required cube into a maximal dhf implicant by freeing variables
-// in the given order (re-closing under the anchor rules after each step).
-// `trial` is scratch supplied by the caller so the loop never allocates.
-void expand(const SpecCtx& s, Cube& seed, const std::vector<std::size_t>& order,
-            Cube& trial) {
-  for (std::size_t var : order) {
-    if (seed.get(var) == Cube::V::kFree) continue;
-    trial = seed;
-    trial.set(var, Cube::V::kFree);
-    if (grow_to_valid(s, trial) && trial.contains(seed)) std::swap(seed, trial);
+// Grows a closed, valid seed into a maximal dhf implicant by freeing
+// variables in the given order, each freeing re-closed under the anchor
+// rules and kept when the closure avoids OFF.
+//
+// Instead of re-closing for every variable, the pass tracks each cube's
+// conflict set with the current seed S (the variables at which they are
+// fixed to opposite values) narrowed to the "open" variables: fixed in S
+// and not known to stay fixed.  Freeing v alone hits OFF cube o exactly
+// when o's conflict set is {v}, and newly meets transition t exactly when
+// t's is {v}.  So a variable that is some OFF cube's only conflict is
+// blocked, at the cost of a few word tests, and the closure runs only when
+// a transition whose conflict set is {v} has an anchor that S with v free
+// does not contain.  A variable that is blocked or whose closure fails
+// stays fixed for the rest of the pass (a later closure freeing it would
+// contain its failing closure), so the cubes in conflict with S there can
+// never be hit or met again and drop out.
+//
+// The conflict sets are kept by variable, one row per variable: the OFF
+// cubes, then the transitions, in conflict with the seed there.  Growing
+// the seed never changes a row, only which rows are open, so the rows are
+// laid out once per seed and shared by its expansion orders.
+class Expander {
+ public:
+  explicit Expander(const Tables& s)
+      : s_(s), row_words_(s.off.words + s.dyn.words), open_(s.words) {
+    alive_.resize(row_words_);
+    one_.resize(row_words_);
+    two_.resize(row_words_);
   }
-}
+
+  void set_seed(const Cube& seed) {
+    const std::size_t W = s_.words;
+    rows_.assign(s_.vars * row_words_, 0);
+    fixed_vars(seed.words(), W, open_.data());
+    for_each_bit(open_.data(), W, [&](std::size_t var) {
+      Word* r = rows_.data() + var * row_words_;
+      const Word* o = s_.off.against(seed.words(), W, var);
+      const Word* d = s_.dyn.against(seed.words(), W, var);
+      std::copy(o, o + s_.off.words, r);
+      std::copy(d, d + s_.dyn.words, r + s_.off.words);
+    });
+  }
+
+  // Expands `grown`, which must equal the last set_seed() seed.
+  void expand(Cube& grown, const std::vector<std::size_t>& order) {
+    const std::size_t W = s_.words;
+    fixed_vars(grown.words(), W, open_.data());
+    for (std::size_t k = 0; k < row_words_; ++k) alive_[k] = ~Word{0};
+    recount();
+    for (std::size_t var : order) {
+      if (!test_bit(open_.data(), var)) continue;  // free, or stays fixed
+      if (blocked(var)) {
+        close(var);
+        continue;
+      }
+      if (needs_closure(grown, var)) {
+        trial_ = grown;
+        trial_.set(var, Cube::V::kFree);
+        if (!grow_to_valid(s_, trial_, scratch_)) {
+          close(var);
+          continue;
+        }
+        std::swap(grown, trial_);
+        for (std::size_t w = 0; w < W; ++w) open_[w] &= scratch_.fixed[w];
+      } else {
+        grown.set(var, Cube::V::kFree);
+        clear_bit(open_.data(), var);
+      }
+      recount();
+    }
+  }
+
+ private:
+  const Word* row(std::size_t var) const { return rows_.data() + var * row_words_; }
+  // two_ = the cubes with two or more open conflicts.
+  void recount() {
+    for (std::size_t k = 0; k < row_words_; ++k) one_[k] = two_[k] = 0;
+    for_each_bit(open_.data(), s_.words, [&](std::size_t var) {
+      const Word* r = row(var);
+      for (std::size_t k = 0; k < row_words_; ++k) {
+        two_[k] |= one_[k] & r[k];
+        one_[k] |= r[k];
+      }
+    });
+  }
+  // Word k of the alive cubes whose only open conflict is `var`.
+  Word single(std::size_t var, std::size_t k) const {
+    return row(var)[k] & alive_[k] & ~two_[k];
+  }
+  bool blocked(std::size_t var) const {
+    for (std::size_t k = 0; k < s_.off.words; ++k)
+      if (single(var, k)) return true;
+    return false;
+  }
+  // `var` stays fixed: the cubes in conflict with the seed there drop out.
+  // The open-conflict counts of the cubes left are unchanged.
+  void close(std::size_t var) {
+    clear_bit(open_.data(), var);
+    const Word* r = row(var);
+    for (std::size_t k = 0; k < row_words_; ++k) alive_[k] &= ~r[k];
+  }
+  // True when freeing `var` meets a transition whose anchor the seed with
+  // `var` free does not contain.
+  bool needs_closure(const Cube& grown, std::size_t var) const {
+    const std::size_t W = s_.words;
+    const Word* g = grown.words();
+    for (std::size_t k = 0; k < s_.dyn.words; ++k)
+      for (Word b = single(var, s_.off.words + k); b; b &= b - 1) {
+        const Word* a = s_.anchor(k * 64 + static_cast<std::size_t>(__builtin_ctzll(b)));
+        for (std::size_t w = 0; w < 2 * W; ++w) {
+          const Word freed = w % W == var / 64 ? Word{1} << (var % 64) : 0;
+          if (a[w] & ~(g[w] | freed)) return true;
+        }
+      }
+    return false;
+  }
+
+  const Tables& s_;
+  const std::size_t row_words_;
+  std::vector<Word> rows_;  // vars * row_words_
+  std::vector<Word> open_, alive_, one_, two_;
+  ClosureScratch scratch_;
+  Cube trial_;
+};
 
 // The four expansion orders (ascending, descending, two rotations) used to
 // diversify the candidate pool.
@@ -99,16 +354,18 @@ std::vector<std::vector<std::size_t>> expansion_orders(std::size_t vars) {
 // Candidate pool from pre-grown seeds (one per realizable required cube),
 // deduplicated through a hash set and returned in the canonical ascending
 // cube order the covering step iterates in.
-std::vector<Cube> candidates_from_seeds(const SpecCtx& s, const std::vector<Cube>& seeds,
+std::vector<Cube> candidates_from_seeds(const Tables& s, const std::vector<Cube>& seeds,
                                         const CancelToken* cancel) {
-  auto orders = expansion_orders(s.f.vars);
+  auto orders = expansion_orders(s.vars);
   CubeSet pool(seeds.size() * orders.size());
-  Cube grown, trial;
+  Expander expander(s);
+  Cube grown;
   for (const auto& seed : seeds) {
     if (cancel) cancel->throw_if_cancelled();
+    expander.set_seed(seed);
     for (const auto& order : orders) {
       grown = seed;
-      expand(s, grown, order, trial);
+      expander.expand(grown, order);
       pool.insert(grown);
     }
   }
@@ -151,21 +408,46 @@ struct CoverMatrix {
 
 }  // namespace
 
+bool CompiledSpec::valid(const Cube& p) const {
+  const Tables& s = *tables_;
+  const std::size_t W = s.words;
+  std::vector<Word> scratch(W + std::max(s.off.words, s.dyn.words));
+  Word* fixed = scratch.data();
+  Word* disjoint = fixed + W;
+  fixed_vars(p.words(), W, fixed);
+  s.off.disjoint(p.words(), fixed, W, disjoint);
+  if (!s.off.all(disjoint)) return false;
+  s.dyn.disjoint(p.words(), fixed, W, disjoint);
+  for (std::size_t i = 0; i < s.dyn.n; ++i) {
+    if (test_bit(disjoint, i)) continue;
+    const Word* a = s.anchor(i);
+    for (std::size_t w = 0; w < 2 * W; ++w)
+      if (a[w] & ~p.words()[w]) return false;
+  }
+  return true;
+}
+
 std::vector<Cube> candidate_implicants(const FunctionSpec& f,
                                        const CancelToken* cancel) {
-  SpecCtx s(f);
+  const CompiledSpec c(f);
+  const Tables& s = c.tables();
+  ClosureScratch scratch;
   std::vector<Cube> seeds;
   seeds.reserve(f.required.size());
   for (const auto& r : f.required) {
     if (cancel) cancel->throw_if_cancelled();
     Cube seed = r;
-    if (!grow_to_valid(s, seed)) continue;  // unrealizable; reported by covering
+    if (!grow_to_valid(s, seed, scratch)) continue;  // unrealizable; reported by covering
     seeds.push_back(std::move(seed));
   }
   return candidates_from_seeds(s, seeds, cancel);
 }
 
-CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts) {
+namespace {
+
+// Minimizes `f`, compiling it only on a memo miss when `compiled` is null.
+CoverResult minimize(const FunctionSpec& f, const CompiledSpec* compiled,
+                     const CoverOptions& opts) {
   Fingerprint memo_key;
   if (opts.memo) {
     memo_key = spec_fingerprint(f);
@@ -193,15 +475,17 @@ CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts
     return res;
   };
 
-  SpecCtx s(f);
+  std::optional<CompiledSpec> own;
+  const Tables& s = (compiled ? *compiled : own.emplace(f)).tables();
 
   // Spec sanity: a required cube whose anchor closure runs into an OFF
   // region cannot be inside any dhf implicant — a genuine contradiction.
   // The successful closures double as the expansion seeds below.
+  ClosureScratch scratch;
   std::vector<Cube> required, seeds;
   for (const auto& r : f.required) {
     Cube seed = r;
-    if (!grow_to_valid(s, seed)) {
+    if (!grow_to_valid(s, seed, scratch)) {
       res.feasible = false;
       issue_suffixes.push_back("required cube " + r.to_string() +
                                " cannot be contained in any dhf implicant");
@@ -212,14 +496,8 @@ CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts
   }
   // Drop required cubes contained in other required cubes.
   std::vector<Cube> reduced;
-  for (const auto& r : required) {
-    bool dominated = false;
-    for (const auto& other : required)
-      if (!(other == r) && other.contains(r)) dominated = true;
-    if (!dominated) reduced.push_back(r);
-  }
+  for (const Cube* r : maximal(required, s.vars, s.words)) reduced.push_back(*r);
   std::sort(reduced.begin(), reduced.end());
-  reduced.erase(std::unique(reduced.begin(), reduced.end()), reduced.end());
   if (reduced.empty()) return finish();  // constant-0 (or fully unrealizable)
 
   auto candidates = candidates_from_seeds(s, seeds, opts.cancel);
@@ -254,6 +532,16 @@ CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts
     covered_count += best_gain;
   }
   return finish();
+}
+
+}  // namespace
+
+CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts) {
+  return minimize(f, nullptr, opts);
+}
+
+CoverResult minimize_hazard_free(const CompiledSpec& c, const CoverOptions& opts) {
+  return minimize(c.spec(), &c, opts);
 }
 
 }  // namespace adc

@@ -16,10 +16,13 @@
 //                   (monotonic turn-off); the start point is required.
 //
 // A product satisfying all intersection rules and avoiding the OFF regions
-// is a *dhf implicant*.  Minimization selects a minimum set of dhf
-// implicants such that every required cube is contained in one of them
-// (greedy covering).
+// is a *dhf implicant*.  Minimization grows a maximal dhf implicant from
+// each required cube, greedily, in four variable orders, and then picks
+// from that pool greedily (most uncovered required cubes first, fewest
+// literals on a tie) until every required cube lies inside one pick.  The
+// cover is hazard-free, but not necessarily minimum.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,6 +51,30 @@ struct FunctionSpec {
 // True if `p` may appear in a hazard-free cover of the function.
 bool implicant_valid(const FunctionSpec& f, const Cube& p);
 
+// A FunctionSpec compiled once for the minimizer's inner loops: its maximal
+// OFF cubes (the only ones a "hits OFF?" test needs) and its dynamic
+// transitions, stored by variable, and the anchors as flat words.  Shared
+// by the minimizer's seeding and expansion and by product sharing.  Refers
+// to the spec, which must outlive it.
+class CompiledSpec {
+ public:
+  explicit CompiledSpec(const FunctionSpec& f);
+  ~CompiledSpec();
+  CompiledSpec(CompiledSpec&&) noexcept;
+  CompiledSpec& operator=(CompiledSpec&&) noexcept;
+
+  const FunctionSpec& spec() const { return *spec_; }
+  // implicant_valid(spec(), p), answered from the compiled tables.
+  bool valid(const Cube& p) const;
+
+  struct Tables;  // defined by the minimizer
+  const Tables& tables() const { return *tables_; }
+
+ private:
+  const FunctionSpec* spec_;
+  std::unique_ptr<Tables> tables_;
+};
+
 struct CoverResult {
   std::vector<Cube> products;
   bool feasible = true;
@@ -67,6 +94,8 @@ struct CoverOptions {
 };
 
 CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts = {});
+// The same, on a spec the caller has compiled.
+CoverResult minimize_hazard_free(const CompiledSpec& c, const CoverOptions& opts = {});
 
 // Maximal dhf implicants grown from the required cubes (the candidate pool
 // of the covering step; exposed for tests).

@@ -25,6 +25,18 @@ bool dynamic_less(const HfDynamic& x, const HfDynamic& y) {
   return static_cast<int>(x.type) < static_cast<int>(y.type);
 }
 
+// Adds a cube list in ascending order.  build_function_spec emits its
+// lists sorted, so the common case hashes them in place.
+void add_sorted(FingerprintBuilder& b, const std::vector<Cube>& cubes) {
+  if (!std::is_sorted(cubes.begin(), cubes.end())) {
+    std::vector<Cube> sorted = cubes;
+    std::sort(sorted.begin(), sorted.end());
+    return add_sorted(b, sorted);
+  }
+  b.add(static_cast<std::uint64_t>(cubes.size()));
+  for (const auto& c : cubes) add_cube(b, c);
+}
+
 std::optional<Cube> cube_from_pattern(const std::string& pat) {
   Cube c(pat.size());
   for (std::size_t i = 0; i < pat.size(); ++i) {
@@ -45,24 +57,20 @@ Fingerprint spec_fingerprint(const FunctionSpec& f) {
   b.add("logic-memo-v1");
   b.add(static_cast<std::uint64_t>(f.vars));
 
-  std::vector<Cube> required = f.required;
-  std::sort(required.begin(), required.end());
-  b.add(static_cast<std::uint64_t>(required.size()));
-  for (const auto& c : required) add_cube(b, c);
+  add_sorted(b, f.required);
+  add_sorted(b, f.off);
 
-  std::vector<Cube> off = f.off;
-  std::sort(off.begin(), off.end());
-  b.add(static_cast<std::uint64_t>(off.size()));
-  for (const auto& c : off) add_cube(b, c);
-
-  std::vector<HfDynamic> dyn = f.dynamic;
-  std::sort(dyn.begin(), dyn.end(), dynamic_less);
+  std::vector<const HfDynamic*> dyn;
+  dyn.reserve(f.dynamic.size());
+  for (const auto& d : f.dynamic) dyn.push_back(&d);
+  std::sort(dyn.begin(), dyn.end(),
+            [](const HfDynamic* x, const HfDynamic* y) { return dynamic_less(*x, *y); });
   b.add(static_cast<std::uint64_t>(dyn.size()));
-  for (const auto& d : dyn) {
-    b.add(static_cast<std::uint64_t>(d.type == HfType::kRise ? 1 : 2));
-    add_cube(b, d.t);
-    add_cube(b, d.a);
-    add_cube(b, d.b);
+  for (const HfDynamic* d : dyn) {
+    b.add(static_cast<std::uint64_t>(d->type == HfType::kRise ? 1 : 2));
+    add_cube(b, d->t);
+    add_cube(b, d->a);
+    add_cube(b, d->b);
   }
   return b.digest();
 }

@@ -1,7 +1,7 @@
 #include "logic/minimize.hpp"
 
+#include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "runtime/thread_pool.hpp"
 
@@ -129,89 +129,111 @@ FunctionSpec build_function_spec(const ConcreteMachine& cm, const Encoding& enc,
 
 namespace {
 
-struct CubeHash {
-  std::size_t operator()(const Cube& c) const {
-    return static_cast<std::size_t>(c.hash());
-  }
-};
-
 // Minimalist-style product sharing: after the per-function covers exist,
 // try to replace products that only one function uses with dhf implicants
 // another function already pays for — the shared AND plane shrinks while
 // every cover stays hazard-free (each replacement is re-checked against
 // the function's own specification).
 //
-// A swap candidate `q` for product `p` of function fi is acceptable
-// exactly when every hazard-checkable required cube of fi that only `p`
-// covers is also inside `q` — so instead of re-scanning the whole cover
-// per candidate, the pass keeps an incremental per-required cover count,
-// memoizes `implicant_valid` per (function, cube), and continues scanning
-// in place after an accepted swap rather than restarting from function 0
-// (the outer fixpoint loop revisits earlier products on the next sweep).
+// A swap only ever substitutes a product some function already has, so the
+// distinct products are fixed up front and the pass works on their ids:
+// use counts are an array, validity is memoized per (function, id), and
+// each (function, id) gets a bitset of the function's checked requirements
+// the product contains, computed on first use.  A swap candidate `q` for
+// product `p` of function fi is acceptable exactly when it holds every
+// requirement only `p` covers (a bitset test against per-requirement cover
+// counts) and is a dhf implicant of fi.  Functions, products and candidate
+// functions are scanned in order, an accepted swap continues the scan in
+// place, and sweeps repeat until one makes no swap.
 void share_products(std::vector<FunctionLogic>& functions,
-                    const std::vector<FunctionSpec>& specs) {
+                    const std::vector<std::optional<CompiledSpec>>& specs) {
+  using Word = std::uint64_t;
   const std::size_t n_fn = functions.size();
 
-  // Requirements that participate in the coverage check — covers_all in
-  // the original pass skipped cubes that are not themselves valid
-  // implicants (they are reported elsewhere).
-  std::vector<std::vector<Cube>> checked_req(n_fn);
-  std::vector<std::vector<int>> cover_cnt(n_fn);
+  CubeSet distinct;
+  std::vector<std::vector<std::size_t>> prods(n_fn);
+  for (std::size_t fi = 0; fi < n_fn; ++fi)
+    for (const auto& p : functions[fi].products) prods[fi].push_back(distinct.id(p));
+  const std::vector<Cube>& cubes = distinct.items();
+  const std::size_t n_id = cubes.size();
+
+  std::vector<int> use_count(n_id, 0);
+  for (const auto& ids : prods)
+    for (std::size_t id : ids) ++use_count[id];
+
+  // Per function: the requirements that participate in the coverage check
+  // (required cubes that are themselves valid implicants — the others are
+  // reported elsewhere), how many of its products contain each, and the
+  // lazily filled containment rows and validity verdicts per product id.
+  struct Fn {
+    std::vector<Cube> reqs;
+    std::size_t words = 0;
+    std::vector<int> cover_cnt;
+    std::vector<Word> rows;          // n_id * words
+    std::vector<std::int8_t> state;  // bit 0: row filled; bit 1: validity known; bit 2: valid
+  };
+  std::vector<Fn> fns(n_fn);
+  auto row = [&](std::size_t fi, std::size_t id) -> const Word* {
+    Fn& f = fns[fi];
+    Word* r = f.rows.data() + id * f.words;
+    if (!(f.state[id] & 1)) {
+      for (std::size_t ri = 0; ri < f.reqs.size(); ++ri)
+        if (cubes[id].contains(f.reqs[ri])) r[ri / 64] |= Word{1} << (ri % 64);
+      f.state[id] = static_cast<std::int8_t>(f.state[id] | 1);
+    }
+    return r;
+  };
+  auto valid_for = [&](std::size_t fi, std::size_t id) {
+    std::int8_t& st = fns[fi].state[id];
+    if (!(st & 2))
+      st = static_cast<std::int8_t>(st | (specs[fi]->valid(cubes[id]) ? 6 : 2));
+    return (st & 4) != 0;
+  };
+  auto holds = [](const Word* r, std::size_t ri) { return (r[ri / 64] >> (ri % 64)) & 1; };
+
   for (std::size_t fi = 0; fi < n_fn; ++fi) {
-    for (const auto& r : specs[fi].required)
-      if (implicant_valid(specs[fi], r)) checked_req[fi].push_back(r);
-    cover_cnt[fi].assign(checked_req[fi].size(), 0);
-    for (const auto& p : functions[fi].products)
-      for (std::size_t ri = 0; ri < checked_req[fi].size(); ++ri)
-        if (p.contains(checked_req[fi][ri])) ++cover_cnt[fi][ri];
+    Fn& f = fns[fi];
+    for (const auto& r : specs[fi]->spec().required)
+      if (specs[fi]->valid(r)) f.reqs.push_back(r);
+    f.words = (f.reqs.size() + 63) / 64;
+    f.cover_cnt.assign(f.reqs.size(), 0);
+    f.rows.assign(n_id * f.words, 0);
+    f.state.assign(n_id, 0);
+    for (std::size_t id : prods[fi]) {
+      const Word* r = row(fi, id);
+      for (std::size_t ri = 0; ri < f.reqs.size(); ++ri) f.cover_cnt[ri] += holds(r, ri);
+    }
   }
 
-  std::unordered_map<Cube, int, CubeHash> use_count;
-  for (const auto& f : functions)
-    for (const auto& p : f.products) ++use_count[p];
-
-  // implicant_valid(specs[fi], q) is independent of the evolving covers;
-  // compute it once per (function, candidate).
-  std::vector<std::unordered_map<Cube, bool, CubeHash>> valid_memo(n_fn);
-  auto valid_for = [&](std::size_t fi, const Cube& q) {
-    auto [it, fresh] = valid_memo[fi].try_emplace(q, false);
-    if (fresh) it->second = implicant_valid(specs[fi], q);
-    return it->second;
-  };
-
   bool changed = true;
-  std::vector<std::size_t> sole;  // requireds only the current product covers
+  std::vector<Word> sole;  // requirements only the current product covers
   while (changed) {
     changed = false;
     for (std::size_t fi = 0; fi < n_fn; ++fi) {
-      auto& f = functions[fi];
-      const auto& reqs = checked_req[fi];
-      for (std::size_t pi = 0; pi < f.products.size(); ++pi) {
-        const Cube p = f.products[pi];
+      Fn& f = fns[fi];
+      for (std::size_t pi = 0; pi < prods[fi].size(); ++pi) {
+        const std::size_t p = prods[fi][pi];
         if (use_count[p] > 1) continue;  // already shared
-        sole.clear();
-        for (std::size_t ri = 0; ri < reqs.size(); ++ri)
-          if (cover_cnt[fi][ri] - (p.contains(reqs[ri]) ? 1 : 0) == 0)
-            sole.push_back(ri);
+        const Word* prow = row(fi, p);
+        sole.assign(f.words, 0);
+        for (std::size_t ri = 0; ri < f.reqs.size(); ++ri)
+          if (f.cover_cnt[ri] == static_cast<int>(holds(prow, ri)))
+            sole[ri / 64] |= Word{1} << (ri % 64);
         bool swapped = false;
         for (std::size_t gi = 0; gi < n_fn && !swapped; ++gi) {
           if (gi == fi) continue;
-          for (const auto& q : functions[gi].products) {
+          for (std::size_t q : prods[gi]) {
             if (q == p) continue;
-            if (!valid_for(fi, q)) continue;
+            const Word* qrow = row(fi, q);
             bool ok = true;
-            for (std::size_t ri : sole)
-              if (!q.contains(reqs[ri])) {
-                ok = false;
-                break;
-              }
-            if (!ok) continue;
+            for (std::size_t w = 0; w < f.words && ok; ++w) ok = !(sole[w] & ~qrow[w]);
+            if (!ok || !valid_for(fi, q)) continue;
             --use_count[p];
             ++use_count[q];
-            for (std::size_t ri = 0; ri < reqs.size(); ++ri)
-              cover_cnt[fi][ri] += (q.contains(reqs[ri]) ? 1 : 0) -
-                                   (p.contains(reqs[ri]) ? 1 : 0);
-            f.products[pi] = q;
+            for (std::size_t ri = 0; ri < f.reqs.size(); ++ri)
+              f.cover_cnt[ri] += static_cast<int>(holds(qrow, ri)) -
+                                 static_cast<int>(holds(prow, ri));
+            prods[fi][pi] = q;
             swapped = true;
             changed = true;
             break;
@@ -220,16 +242,18 @@ void share_products(std::vector<FunctionLogic>& functions,
       }
     }
   }
-  // Drop duplicates a swap may have created inside one function.
-  for (auto& f : functions) {
+  // Write back, dropping duplicates a swap may have created inside one
+  // function (first occurrence kept).
+  std::vector<char> seen(n_id, 0);
+  for (std::size_t fi = 0; fi < n_fn; ++fi) {
     std::vector<Cube> unique;
-    for (const auto& p : f.products) {
-      bool seen = false;
-      for (const auto& u : unique)
-        if (u == p) seen = true;
-      if (!seen) unique.push_back(p);
-    }
-    f.products = std::move(unique);
+    for (std::size_t id : prods[fi])
+      if (!seen[id]) {
+        seen[id] = 1;
+        unique.push_back(cubes[id]);
+      }
+    for (std::size_t id : prods[fi]) seen[id] = 0;
+    functions[fi].products = std::move(unique);
   }
 }
 
@@ -245,6 +269,7 @@ LogicSynthesisResult synthesize_impl(const Xbm& m, const SignalBindings* binding
   const std::size_t n_out = res.machine.output_names.size();
   const std::size_t n_fn = n_out + res.encoding.bits;
   std::vector<FunctionSpec> specs(n_fn);
+  std::vector<std::optional<CompiledSpec>> compiled(n_fn);
   std::vector<std::vector<std::string>> fn_issues(n_fn);
   res.functions.resize(n_fn);
 
@@ -254,16 +279,16 @@ LogicSynthesisResult synthesize_impl(const Xbm& m, const SignalBindings* binding
     std::string name =
         state_bit ? "Y" + std::to_string(index) : res.machine.output_names[index];
     obs::TraceSpan span(opts.trace, "fn:" + name, "logic");
-    FunctionSpec spec =
+    specs[fi] =
         build_function_spec(res.machine, res.encoding, state_bit, index, std::move(name));
+    const CompiledSpec& spec = compiled[fi].emplace(specs[fi]);
     CoverResult cover = minimize_hazard_free(spec, opts.cover);
     if (span.active()) {
       span.arg("products", std::uint64_t{cover.products.size()});
       span.arg("feasible", cover.feasible);
     }
     fn_issues[fi] = std::move(cover.issues);
-    res.functions[fi] = FunctionLogic{spec.name, state_bit, std::move(cover.products)};
-    specs[fi] = std::move(spec);
+    res.functions[fi] = FunctionLogic{specs[fi].name, state_bit, std::move(cover.products)};
   };
 
   if (opts.pool && n_fn > 1) {
@@ -277,7 +302,7 @@ LogicSynthesisResult synthesize_impl(const Xbm& m, const SignalBindings* binding
   for (auto& issues : fn_issues)
     for (auto& issue : issues) res.issues.push_back(std::move(issue));
 
-  share_products(res.functions, specs);
+  share_products(res.functions, compiled);
   return res;
 }
 

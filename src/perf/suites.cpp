@@ -16,6 +16,7 @@
 #include "sim/token_sim.hpp"
 #include "transforms/global.hpp"
 #include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace perf {
@@ -161,6 +162,32 @@ std::shared_ptr<const std::vector<ConcreteMachine>> library_machines() {
   return cached;
 }
 
+// The controllers of six fixed programs shaped like the random_corpus
+// benchmark's (two ALUs, one or two multipliers, 12-32 loop statements,
+// 6-8 registers, no pure moves) after its recipe, one list per program:
+// the input of logic.minimize_random.
+std::shared_ptr<const std::vector<std::vector<ExtractedController>>> corpus_controllers() {
+  static std::shared_ptr<const std::vector<std::vector<ExtractedController>>> cached = [] {
+    auto v = std::make_shared<std::vector<std::vector<ExtractedController>>>();
+    const TransformScript script =
+        TransformScript::parse("gt1; gt2; gt3; gt4; gt2; gt5(no_sym); lt");
+    for (int i = 0; i < 6; ++i) {
+      RandomProgramParams p;
+      p.alus = 2;
+      p.mults = 1 + i % 2;
+      p.stmts = 12 + 4 * i;
+      p.regs = 6 + i % 3;
+      p.moves = false;
+      Cdfg g = random_program(p, static_cast<std::uint64_t>(100 + i));
+      auto res = script.run(g);
+      auto& controllers = v->emplace_back(extract_controllers(g, res.plan));
+      for (auto& c : controllers) run_local_transforms(c, script.local_options());
+    }
+    return v;
+  }();
+  return cached;
+}
+
 void register_logic() {
   add("logic", "logic.encode_library", [](BenchContext& ctx) {
     auto machines = library_machines();
@@ -174,6 +201,14 @@ void register_logic() {
     for (const auto& inst : a->instances)
       lits += synthesize_logic(inst.controller).literal_count(true);
     ctx.counters["literals"] = static_cast<double>(lits);
+  });
+  add("logic", "logic.minimize_random", [](BenchContext& ctx) {
+    auto programs = corpus_controllers();
+    const std::size_t n = ctx.quick ? 2 : programs->size();
+    std::size_t products = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (const auto& c : (*programs)[i]) products += synthesize_logic(c).product_count(true);
+    ctx.counters["products"] = static_cast<double>(products);
   });
   add("logic", "logic.spec_build_diffeq", [](BenchContext& ctx) {
     auto a = diffeq_artifacts();

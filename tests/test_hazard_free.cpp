@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+
 #include "logic/cover.hpp"
 #include "logic/hazard_free.hpp"
 
@@ -162,6 +166,69 @@ TEST(HazardFree, DominatedRequiredCubesDropOut) {
   EXPECT_EQ(res.products.size(), 1u);
 }
 
+// Closes `c` under the anchor rules, written out here independently of the
+// minimizer; false when the closure meets an OFF cube.
+bool closes_clear_of_off(const FunctionSpec& f, Cube c) {
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const auto& d : f.dynamic) {
+      const Cube& anchor = d.type == HfType::kRise ? d.b : d.a;
+      if (c.intersects(d.t) && !c.contains(anchor)) {
+        c.supercube_with(anchor);
+        changed = true;
+      }
+    }
+  }
+  for (const auto& o : f.off)
+    if (c.intersects(o)) return false;
+  return true;
+}
+
+// A random cube over n variables, each fixed with probability fixed_pct %.
+Cube random_cube(std::size_t n, int fixed_pct, std::mt19937_64& rng) {
+  Cube c(n);
+  for (std::size_t v = 0; v < n; ++v)
+    if (static_cast<int>(rng() % 100) < fixed_pct)
+      c.set(v, rng() % 2 ? Cube::V::kOne : Cube::V::kZero);
+  return c;
+}
+
+// A seeded random spec: near-point required cubes, dynamic transitions
+// around some of them, and OFF cubes kept clear of every required cube and
+// anchor.  `n_off` above 64 makes the per-variable cube sets multi-word.
+FunctionSpec random_spec(std::size_t n, std::size_t n_off, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  FunctionSpec f;
+  f.name = "random" + std::to_string(n);
+  f.vars = n;
+  for (int i = 0; i < 12; ++i) f.required.push_back(random_cube(n, 90, rng));
+  for (int i = 0; i < 6; ++i) {
+    const Cube& r = f.required[static_cast<std::size_t>(i) * 2];
+    std::size_t k = rng() % n;
+    if (r.get(k) == Cube::V::kFree) continue;
+    Cube t = r;
+    for (int j = 0; j < 3; ++j) t.set(rng() % n, Cube::V::kFree);
+    t.set(k, Cube::V::kFree);
+    Cube there = t.with(k, r.get(k));
+    Cube away = t.with(k, r.get(k) == Cube::V::kOne ? Cube::V::kZero : Cube::V::kOne);
+    if (i % 2 == 0)
+      f.dynamic.push_back(HfDynamic{t, away, there, HfType::kRise});
+    else
+      f.dynamic.push_back(HfDynamic{t, there, away, HfType::kFall});
+  }
+  // OFF cubes of roughly 6 (9 variables) to 17 (129 variables) literals.
+  const int off_pct = 600 / static_cast<int>(std::min<std::size_t>(n, 60)) + 3;
+  while (f.off.size() < n_off) {
+    Cube o = random_cube(n, off_pct, rng);
+    bool clear = true;
+    for (const auto& r : f.required) clear = clear && !o.intersects(r);
+    for (const auto& d : f.dynamic)
+      clear = clear && !o.intersects(d.type == HfType::kRise ? d.b : d.a);
+    if (clear) f.off.push_back(o);
+  }
+  return f;
+}
+
 TEST(HazardFree, CandidatesAreValidAndCoverTheirSeeds) {
   FunctionSpec f;
   f.name = "max";
@@ -177,6 +244,39 @@ TEST(HazardFree, CandidatesAreValidAndCoverTheirSeeds) {
     if (cand.literal_count() < 3) grown = true;
   }
   EXPECT_TRUE(grown) << "expansion should widen beyond the seed point";
+
+  // Across the word boundaries of the cube masks (and, with more than 64
+  // OFF cubes, of the per-variable cube sets): every candidate is a dhf
+  // implicant, holds a required cube, and is maximal — freeing any of its
+  // fixed variables and re-closing meets OFF.
+  for (std::size_t n : {9, 63, 64, 65, 128, 129}) {
+    for (std::size_t n_off : {20, 90}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const FunctionSpec g = random_spec(n, n_off, seed * 1000 + n);
+        const std::string at = g.name + " off=" + std::to_string(n_off) +
+                               " seed=" + std::to_string(seed);
+        const auto pool = candidate_implicants(g);
+        EXPECT_FALSE(pool.empty()) << at;
+        std::size_t widened = 0;
+        for (const auto& c : pool) {
+          EXPECT_TRUE(implicant_valid(g, c)) << at << " " << c.to_string();
+          EXPECT_TRUE(CompiledSpec(g).valid(c)) << at << " " << c.to_string();
+          bool holds_required = false;
+          for (const auto& r : g.required) holds_required = holds_required || c.contains(r);
+          EXPECT_TRUE(holds_required) << at << " " << c.to_string();
+          for (std::size_t v = 0; v < n; ++v) {
+            if (c.get(v) == Cube::V::kFree) continue;
+            EXPECT_FALSE(closes_clear_of_off(g, c.with(v, Cube::V::kFree)))
+                << at << " " << c.to_string() << " var " << v;
+          }
+          if (c.literal_count() + 3 < n) ++widened;
+        }
+        EXPECT_GT(widened, 0u) << at;
+        for (const auto& r : g.required)
+          EXPECT_EQ(CompiledSpec(g).valid(r), implicant_valid(g, r)) << at;
+      }
+    }
+  }
 }
 
 }  // namespace
