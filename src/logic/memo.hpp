@@ -12,21 +12,15 @@
 // function name is excluded (issue strings are stored as name-free
 // suffixes and re-prefixed on replay).
 //
-// Two tiers, mirroring the point cache: a bounded in-memory LRU map shared
-// by all workers of an executor, and an optional crash-safe disk tier
-// (runtime/disk_cache) keyed `logic-<fingerprint>`.  Disk payloads carry
-// their own checksum *inside* the ADCK envelope; a torn or bit-flipped
-// entry is detected on parse, evicted from disk, and recomputed — never
-// replayed wrong.  Fault-injection sites: `logic.memo.fill` (fail/stall
-// the fill path; failures are swallowed and counted, the memo is an
-// accelerator) and `logic.memo.put.payload` (corrupt the serialized cover
-// before it reaches the disk tier).
+// One tier: a bounded in-memory LRU map shared by all workers of an
+// executor.  Restarts are served by the point-level disk cache
+// (runtime/disk_cache), which replays whole flow points; the memo keeps
+// nothing on disk.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,8 +28,6 @@
 #include "runtime/fingerprint.hpp"
 
 namespace adc {
-
-class DiskCache;
 
 class LogicMemo {
  public:
@@ -48,50 +40,33 @@ class LogicMemo {
   };
 
   struct Stats {
-    std::uint64_t hits = 0;          // served from memory
-    std::uint64_t disk_hits = 0;     // served from the disk tier
-    std::uint64_t misses = 0;        // caller computed
-    std::uint64_t fills = 0;         // entries stored
-    std::uint64_t fill_errors = 0;   // injected/IO failures, swallowed
-    std::uint64_t disk_corrupt = 0;  // torn disk payloads detected+evicted
-    std::uint64_t evictions = 0;     // in-memory LRU removals
-    std::uint64_t entries = 0;       // resident in-memory entries
+    std::uint64_t hits = 0;       // served from memory
+    std::uint64_t disk_hits = 0;  // always 0; read only by benchmark/workloads.cpp
+    std::uint64_t misses = 0;     // caller computed
+    std::uint64_t fills = 0;      // entries stored
+    std::uint64_t evictions = 0;  // LRU removals
+    std::uint64_t entries = 0;    // resident entries
   };
 
-  // capacity == 0 disables the in-memory tier (and with no disk attached,
-  // the memo as a whole: every lookup misses, every fill is dropped).
+  // capacity == 0 disables the memo: every lookup misses, every fill is
+  // dropped.
   explicit LogicMemo(std::size_t capacity = 4096) : capacity_(capacity) {}
-
-  // Borrowed; must outlive the memo.  Null detaches.
-  void attach_disk(DiskCache* disk) { disk_ = disk; }
 
   // Null on miss.  The returned entry is immutable and shared.
   std::shared_ptr<const Entry> lookup(const Fingerprint& key);
 
-  // Stores a computed cover in both tiers.  Failures never propagate.
+  // Stores a computed cover.
   void fill(const Fingerprint& key, std::shared_ptr<const Entry> entry);
 
   Stats stats() const;
-  void clear();  // memory tier only; the disk tier persists
-
-  // Payload codec for the disk tier (exposed for tests): version-tagged,
-  // self-checksummed text.  deserialize returns nullopt on any defect.
-  static std::string serialize(const Entry& e);
-  static std::optional<Entry> deserialize(const std::string& payload);
-
-  static std::string disk_key(const Fingerprint& key) {
-    return "logic-" + key.hex();
-  }
+  void clear();
 
  private:
   struct Slot {
     std::shared_ptr<const Entry> entry;
     std::uint64_t lru = 0;
   };
-  void insert_locked(const Fingerprint& key, std::shared_ptr<const Entry> e);
-
   std::size_t capacity_;
-  DiskCache* disk_ = nullptr;
   mutable std::mutex mu_;
   std::map<Fingerprint, Slot> slots_;
   std::uint64_t tick_ = 0;

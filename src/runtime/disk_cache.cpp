@@ -202,15 +202,6 @@ bool DiskCache::contains(const std::string& key) {
   return fs::exists(path_for(key), ec);
 }
 
-bool DiskCache::remove(const std::string& key, bool count_corrupt) {
-  if (!enabled()) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  std::error_code ec;
-  bool removed = fs::remove(path_for(key), ec) && !ec;
-  if (removed && count_corrupt) ++stats_.corrupt;
-  return removed;
-}
-
 std::uint64_t DiskCache::total_bytes_locked() const {
   std::uint64_t total = 0;
   std::error_code ec;

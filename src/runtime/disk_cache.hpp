@@ -77,13 +77,6 @@ class DiskCache {
 
   bool contains(const std::string& key);
 
-  // Unlinks an entry whose *payload* a caller found defective — the header
-  // checksum only guards the transport; callers with richer payload
-  // framing (the logic memo) evict at their own layer through this.
-  // Returns true when a file was removed; count_corrupt ticks the corrupt
-  // stat so scrapes see the eviction.
-  bool remove(const std::string& key, bool count_corrupt = false);
-
   std::uint64_t total_bytes() const;
 
   // Thread-safe: one FlowExecutor's workers share a single instance.

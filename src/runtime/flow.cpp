@@ -170,13 +170,11 @@ FlowExecutor::FlowExecutor(ThreadPool* pool, Options opts)
   if (!opts_.disk_cache_dir.empty())
     disk_ = std::make_unique<DiskCache>(opts_.disk_cache_dir,
                                         opts_.disk_cache_bytes);
-  // The cover memo shares the point cache's persistent directory: its
-  // `logic-*` entries ride the same ADCK envelope, LRU budget and
-  // adc_obs_check --cache-dir audit.  cache_capacity == 0 turns it off
-  // along with the stage cache.
+  // The cover memo lives in memory only; restarts replay whole points from
+  // the disk tier.  cache_capacity == 0 turns it off along with the stage
+  // cache.
   logic_memo_ = std::make_unique<LogicMemo>(
       opts_.cache_capacity > 0 ? std::size_t{4096} : std::size_t{0});
-  logic_memo_->attach_disk(disk_.get());
   // The gauges read their sources on every snapshot; the set of series
   // is fixed here (disk.* only with a persistent tier).
   std::vector<obs::GaugeSeries> series;
@@ -304,9 +302,9 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
       // they poll the job token so a deadline can unwind them.
       SynthesisOptions sopts;
       sopts.cover.cancel = &cancel;
-      // With no tier to keep entries in, the memo would only cost each
-      // function a fingerprint; the minimizer then skips it.
-      if (opts_.cache_capacity > 0 || disk_) sopts.cover.memo = logic_memo_.get();
+      // With caching off the memo would only cost each function a
+      // fingerprint; the minimizer then skips it.
+      if (opts_.cache_capacity > 0) sopts.cover.memo = logic_memo_.get();
       // Per-function fan-out nests inside the per-controller TaskGroup;
       // both groups only join their own subtasks, so the nesting cannot
       // deadlock or bill foreign work to this stage's deadline.
@@ -361,11 +359,8 @@ std::vector<std::pair<const char*, std::int64_t>> FlowExecutor::gauge_values()
       {"cache.bytes", n(cs.bytes)},
       {"pool.pending", pool_ ? n(pool_->pending()) : 0},
       {"logic.memo.hits", n(ms.hits)},
-      {"logic.memo.disk_hits", n(ms.disk_hits)},
       {"logic.memo.misses", n(ms.misses)},
       {"logic.memo.fills", n(ms.fills)},
-      {"logic.memo.fill_errors", n(ms.fill_errors)},
-      {"logic.memo.disk_corrupt", n(ms.disk_corrupt)},
       {"logic.memo.entries", n(ms.entries)}};
   if (disk_) {
     // One stats() read: disk.hits and disk.misses from the same instant.

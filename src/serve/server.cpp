@@ -316,18 +316,13 @@ void ServeServer::register_instruments() {
   // function specifications replay their minimized cover instead of
   // re-running candidate generation + covering.
   registry_.gauge_source(
-      {{"logic.memo.hits", {}, "cover-memo replays from memory"},
-       {"logic.memo.disk_hits", {}, "cover-memo replays from the disk tier"},
+      {{"logic.memo.hits", {}, "cover-memo replays"},
        {"logic.memo.misses", {}, "cover-memo lookups that ran the minimizer"},
        {"logic.memo.fills", {}, "covers computed and stored in the memo"},
-       {"logic.memo.fill_errors", {},
-        "memo fills abandoned (injected fault or bad payload)"},
-       {"logic.memo.disk_corrupt", {}, "torn disk memo entries detected and evicted"},
        {"logic.memo.entries", {}, "memo entries resident in memory"}},
       [this] {
         LogicMemo::Stats ms = exec_->logic_memo().stats();
-        return gauge_values(ms.hits, ms.disk_hits, ms.misses, ms.fills,
-                            ms.fill_errors, ms.disk_corrupt, ms.entries);
+        return gauge_values(ms.hits, ms.misses, ms.fills, ms.entries);
       });
   // Design-space explainability (analysis/grid.hpp): the live Pareto
   // frontier over (control area x cycle time) across every simulated ok

@@ -314,6 +314,34 @@ TEST_F(DiskTierTest, CorruptedEntryFallsBackToRecompute) {
   EXPECT_GE(fresh.disk_cache()->stats().corrupt, 1u);
 }
 
+// The directory holds point entries only: one per ok or deadlocked point,
+// and nothing from the cover memo, which lives in memory.
+TEST_F(DiskTierTest, DirectoryHoldsOneEntryPerPointAndNoMemoEntries) {
+  const std::pair<const char*, const char*> runs[] = {
+      {"mac_reduce", "lt"},
+      {"mac_reduce", "gt2; gt5; lt"},
+      {"gcd", "lt"},
+      {"fir4", "lt"},
+      {"diffeq", "gt5; lt"}};
+  std::size_t stored = 0;
+  {
+    FlowExecutor exec(nullptr, disk_opts());
+    for (const auto& [bench, script] : runs) {
+      FlowPoint p = exec.run(make_builtin_request(*find_builtin(bench), script));
+      ASSERT_TRUE(p.status == FlowStatus::kOk || p.status == FlowStatus::kDeadlock)
+          << bench << " / " << script << ": " << p.error;
+      ++stored;
+    }
+    EXPECT_GT(exec.logic_memo().stats().fills, 0u);
+  }
+  const std::vector<DiskCache::ScanEntry> entries = DiskCache::scan(dir_.string());
+  EXPECT_EQ(entries.size(), stored);
+  for (const DiskCache::ScanEntry& e : entries) {
+    EXPECT_TRUE(e.valid) << e.key << ": " << e.defect;
+    EXPECT_NE(e.key.rfind("logic-", 0), 0u) << e.key;
+  }
+}
+
 // A payload whose envelope and checksum are intact but whose schema has
 // drifted must be a miss that recomputes, never a replay with zeroed
 // counts.
@@ -329,17 +357,12 @@ TEST_F(RobustnessTest, DriftedDiskPayloadIsAMissNotAZeroPoint) {
     cold = exec.run(req);
     ASSERT_TRUE(cold.ok) << cold.error;
   }
-  // The logic memo keeps its own logic-* entries in the same directory.
   DiskCache cache(dir.string());
-  std::size_t rewritten = 0;
-  for (const DiskCache::ScanEntry& e : DiskCache::scan(dir.string())) {
-    if (e.key.rfind("logic-", 0) == 0) continue;
-    ASSERT_TRUE(cache.put(e.key, R"({"benchmark": ")" + cold.benchmark +
-                                     R"(", "script": ")" + cold.script +
-                                     R"(", "ok": true, "status": "ok"})"));
-    ++rewritten;
-  }
-  ASSERT_EQ(rewritten, 1u);
+  const std::vector<DiskCache::ScanEntry> entries = DiskCache::scan(dir.string());
+  ASSERT_EQ(entries.size(), 1u);
+  ASSERT_TRUE(cache.put(entries[0].key, R"({"benchmark": ")" + cold.benchmark +
+                                            R"(", "script": ")" + cold.script +
+                                            R"(", "ok": true, "status": "ok"})"));
   FlowExecutor fresh(nullptr, opts);
   FlowPoint warm = fresh.run(req);
   EXPECT_FALSE(warm.from_disk_cache);

@@ -58,9 +58,13 @@
 #include "perf/suites.hpp"
 #include "trace/flush.hpp"
 
+#include "cli_args.hpp"
+
 using namespace adc;
 
 namespace {
+
+constexpr char kTool[] = "adc_bench";
 
 int usage(int code) {
   std::fprintf(code ? stderr : stdout,
@@ -80,15 +84,6 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
 // One --ratio A:B:PCT gate: p50 wall of A must not exceed B's by more than
 // PCT percent.  Both benchmarks come from the SAME run, so machine speed
 // cancels out — unlike a --baseline diff, the gate holds on any hardware.
@@ -101,11 +96,11 @@ RatioSpec parse_ratio(const std::string& spec) {
   auto c1 = spec.find(':');
   auto c2 = c1 == std::string::npos ? std::string::npos : spec.find(':', c1 + 1);
   if (c2 == std::string::npos)
-    throw std::runtime_error("--ratio expects A:B:PCT, got '" + spec + "'");
+    cli::usage_error(kTool, "--ratio expects A:B:PCT, got '" + spec + "'");
   RatioSpec r;
   r.a = spec.substr(0, c1);
   r.b = spec.substr(c1 + 1, c2 - c1 - 1);
-  r.pct = std::stod(spec.substr(c2 + 1));
+  r.pct = cli::number<double>(kTool, "--ratio " + spec + ": PCT", spec.substr(c2 + 1));
   return r;
 }
 
@@ -149,7 +144,7 @@ int main(int argc, char** argv) {
   std::string diff_old, diff_new;
   perf::MeasureOptions mopts;
   perf::CompareOptions copts;
-  std::vector<std::string> ratios;
+  std::vector<RatioSpec> ratios;
   bool list = false, check = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -164,7 +159,7 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") return usage(0);
     else if (arg == "--suite") {
       std::string v = next();
-      if (v != "all") suites = split_csv(v);
+      if (v != "all") suites = cli::split(v, ',');
     }
     else if (arg == "--filter") filter = next();
     else if (arg == "--list") list = true;
@@ -173,18 +168,19 @@ int main(int argc, char** argv) {
       mopts = perf::MeasureOptions::quick_mode();
       mopts.trim_outliers = trim;
     }
-    else if (arg == "--repeats") mopts.repeats = static_cast<unsigned>(std::stoul(next()));
-    else if (arg == "--warmup") mopts.warmup = static_cast<unsigned>(std::stoul(next()));
+    else if (arg == "--repeats") cli::set_number(mopts.repeats, kTool, arg, next());
+    else if (arg == "--warmup") cli::set_number(mopts.warmup, kTool, arg, next());
     else if (arg == "--out") out_path = next();
     else if (arg == "--baseline") baseline_path = next();
     else if (arg == "--diff") {
       diff_old = next();
       diff_new = next();
     }
-    else if (arg == "--suite-deadline-ms") mopts.deadline_ms = std::stoull(next());
-    else if (arg == "--threshold") copts.threshold_pct = std::stod(next());
-    else if (arg == "--min-time-us") copts.min_us = std::stod(next());
-    else if (arg == "--ratio") ratios.push_back(next());
+    else if (arg == "--suite-deadline-ms")
+      cli::set_number(mopts.deadline_ms, kTool, arg, next());
+    else if (arg == "--threshold") cli::set_number(copts.threshold_pct, kTool, arg, next());
+    else if (arg == "--min-time-us") cli::set_number(copts.min_us, kTool, arg, next());
+    else if (arg == "--ratio") ratios.push_back(parse_ratio(next()));
     else if (arg == "--check") check = true;
     else return usage(2);
   }
@@ -200,8 +196,7 @@ int main(int argc, char** argv) {
         std::printf("note: baselines span commits %s -> %s\n",
                     oldr.env.git_sha.c_str(), newr.env.git_sha.c_str());
       bool ratios_ok = true;
-      for (const auto& raw : ratios) {
-        RatioSpec spec = parse_ratio(raw);
+      for (const RatioSpec& spec : ratios) {
         ratios_ok =
             eval_ratio(newr.find(spec.a), newr.find(spec.b), spec, stdout) &&
             ratios_ok;
@@ -238,19 +233,17 @@ int main(int argc, char** argv) {
     // Ratio-gated benchmarks are measured as interleaved pairs (drift lands
     // on both sides equally) and skipped in the sequential pass so nothing
     // is timed twice and the report carries no duplicate names.
-    std::vector<RatioSpec> ratio_specs;
     std::vector<std::string> paired_names;
-    for (const auto& raw : ratios) {
-      ratio_specs.push_back(parse_ratio(raw));
-      paired_names.push_back(ratio_specs.back().a);
-      paired_names.push_back(ratio_specs.back().b);
+    for (const RatioSpec& spec : ratios) {
+      paired_names.push_back(spec.a);
+      paired_names.push_back(spec.b);
     }
 
     perf::BenchReport rep =
         perf::run_registered(suites, filter, mopts, "adc_bench", paired_names);
 
     bool ratios_ok = true;
-    for (const auto& spec : ratio_specs) {
+    for (const RatioSpec& spec : ratios) {
       auto find_registered = [](const std::string& name) -> const perf::Benchmark* {
         for (const auto& b : perf::BenchRegistry::instance().all())
           if (b.name == name) return &b;

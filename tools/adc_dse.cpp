@@ -16,7 +16,8 @@
 //   --recipes "S1 | S2"     explicit recipe list ('|'-separated scripts)
 //   --grid gt|gt-nolt       the 32-recipe GT ablation grid (with/without
 //                           the local transforms appended)
-//   --jobs N                worker threads (default: hardware, 0 = serial)
+//   --jobs N                worker threads (default: hardware, 0 = serial,
+//                           at most 1024)
 //   --json FILE             machine-readable report ('-' = stdout)
 //   --init REG=VAL,...      simulation register file for .adc programs
 //   --seed N                event-sim seed (with --randomize)
@@ -92,9 +93,13 @@
 #include "trace/log.hpp"
 #include "trace/vcd.hpp"
 
+#include "cli_args.hpp"
+
 using namespace adc;
 
 namespace {
+
+constexpr char kTool[] = "adc_dse";
 
 int usage(int code) {
   std::fprintf(code ? stderr : stdout,
@@ -119,33 +124,6 @@ int usage(int code) {
                "  4  a point's event simulation deadlocked\n"
                "severity: 3 > 6 > 5 > 4 when several statuses occur.\n");
   return code;
-}
-
-std::map<std::string, std::int64_t> parse_init(const std::string& spec) {
-  std::map<std::string, std::int64_t> init;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    auto eq = item.find('=');
-    if (eq == std::string::npos)
-      throw std::invalid_argument("--init expects REG=VAL pairs, got '" + item + "'");
-    init[item.substr(0, eq)] = std::stoll(item.substr(eq + 1));
-  }
-  return init;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, sep)) {
-    // trim
-    auto b = item.find_first_not_of(" \t\n");
-    auto e = item.find_last_not_of(" \t\n");
-    if (b == std::string::npos) continue;
-    out.push_back(item.substr(b, e - b + 1));
-  }
-  return out;
 }
 
 bool same_point(const FlowPoint& a, const FlowPoint& b) {
@@ -183,7 +161,7 @@ std::size_t resolve_explain_ref(const std::string& ref,
                                ": no simulated ok point in the grid");
     return pick;
   }
-  std::size_t idx = std::stoul(ref);
+  std::size_t idx = *cli::parse_number<std::size_t>(ref);  // checked in main
   if (idx >= points.size())
     throw std::runtime_error("--explain: point index " + ref +
                              " out of range (grid has " +
@@ -247,7 +225,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> recipes;
   std::string grid;
   std::string json_path;
-  std::string init_spec;
+  std::map<std::string, std::int64_t> file_init;
   std::string trace_path;
   std::string prov_dir;
   std::string vcd_dir;
@@ -275,13 +253,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--help" || arg == "-h") return usage(0);
-    else if (arg == "--bench") for (auto& n : split(next(), ',')) bench_names.push_back(n);
-    else if (arg == "--recipes") for (auto& r : split(next(), '|')) recipes.push_back(r);
+    else if (arg == "--bench") for (auto& n : cli::split(next(), ',')) bench_names.push_back(n);
+    else if (arg == "--recipes") for (auto& r : cli::split(next(), '|')) recipes.push_back(r);
     else if (arg == "--grid") grid = next();
-    else if (arg == "--jobs") jobs = std::stoul(next());
+    else if (arg == "--jobs") cli::set_number(jobs, kTool, arg, next(), 0, cli::kMaxThreads);
     else if (arg == "--json") json_path = next();
-    else if (arg == "--init") init_spec = next();
-    else if (arg == "--seed") seed = std::stoull(next());
+    else if (arg == "--init") file_init = cli::parse_init(kTool, arg, next());
+    else if (arg == "--seed") cli::set_number(seed, kTool, arg, next());
     else if (arg == "--randomize") randomize = true;
     else if (arg == "--no-sim") simulate = false;
     else if (arg == "--verify-serial") verify_serial = true;
@@ -291,13 +269,26 @@ int main(int argc, char** argv) {
     else if (arg == "--critical-path") critical_path = true;
     else if (arg == "--profile-out") profile_out = next();
     else if (arg == "--frontier") frontier = true;
-    else if (arg == "--explain") explain_spec = next();
+    else if (arg == "--explain") {
+      explain_spec = next();
+      auto colon = explain_spec.find(':');
+      auto ref_ok = [](const std::string& ref) {
+        return ref == "best" || ref == "worst" || cli::parse_number<std::size_t>(ref);
+      };
+      if (colon == std::string::npos || !ref_ok(explain_spec.substr(0, colon)) ||
+          !ref_ok(explain_spec.substr(colon + 1)))
+        cli::usage_error(kTool, "--explain expects A:B (indices or best/worst), got '" +
+                                    explain_spec + "'");
+    }
     else if (arg == "--cache-dir") cache_dir = next();
-    else if (arg == "--cache-bytes") cache_bytes = std::stoull(next());
-    else if (arg == "--stage-deadline-ms") stage_deadline_ms = std::stoull(next());
-    else if (arg == "--point-deadline-ms") point_deadline_ms = std::stoull(next());
-    else if (arg == "--retries") retries = static_cast<unsigned>(std::stoul(next()));
-    else if (arg == "--retry-backoff-ms") retry_backoff_ms = std::stoull(next());
+    else if (arg == "--cache-bytes") cli::set_number(cache_bytes, kTool, arg, next());
+    else if (arg == "--stage-deadline-ms")
+      cli::set_number(stage_deadline_ms, kTool, arg, next());
+    else if (arg == "--point-deadline-ms")
+      cli::set_number(point_deadline_ms, kTool, arg, next());
+    else if (arg == "--retries") cli::set_number(retries, kTool, arg, next());
+    else if (arg == "--retry-backoff-ms")
+      cli::set_number(retry_backoff_ms, kTool, arg, next());
     else if (arg == "--fault") fault_spec = next();
     else if (arg == "--log-level") {
       try {
@@ -330,9 +321,6 @@ int main(int argc, char** argv) {
     const bool profiling =
         !profile_out.empty() || frontier || !explain_spec.empty();
     if (profiling) critical_path = true;
-    if (!explain_spec.empty() &&
-        explain_spec.find(':') == std::string::npos)
-      throw std::invalid_argument("--explain expects A:B (indices or best/worst)");
 
     // Assemble the request grid.
     std::vector<FlowRequest> reqs;
@@ -351,8 +339,6 @@ int main(int argc, char** argv) {
         reqs.push_back(std::move(req));
       }
     }
-    auto file_init = init_spec.empty() ? std::map<std::string, std::int64_t>{}
-                                       : parse_init(init_spec);
     for (const auto& path : files) {
       std::ifstream in(path);
       if (!in) throw std::runtime_error("cannot open " + path);

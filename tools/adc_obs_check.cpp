@@ -59,9 +59,13 @@
 #include "report/json_parse.hpp"
 #include "runtime/disk_cache.hpp"
 
+#include "cli_args.hpp"
+
 using namespace adc;
 
 namespace {
+
+constexpr char kTool[] = "adc_obs_check";
 
 int errors = 0;
 
@@ -161,9 +165,13 @@ void check_vcd(const std::string& path) {
       continue;
     }
     if (line[0] == '#') {
-      long long t = std::stoll(line.substr(1));
-      if (t < now) fail(path + ": time moved backwards at #" + line.substr(1));
-      now = t;
+      auto t = cli::parse_number<long long>(std::string_view(line).substr(1));
+      if (!t) {
+        fail(path + ": bad timestamp '" + line + "'");
+        continue;
+      }
+      if (*t < now) fail(path + ": time moved backwards at " + line);
+      now = *t;
       continue;
     }
     std::string code;
@@ -258,6 +266,7 @@ int main(int argc, char** argv) {
   std::string trace_path, prov_path, vcd_path, bench_path, cache_dir;
   std::string dse_profile_path;
   std::string access_log_path, prom_path, prom_fetch, prom_out, catalogue_path;
+  std::pair<std::string, std::uint16_t> prom_host;  // --prom-fetch
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -275,7 +284,8 @@ int main(int argc, char** argv) {
     else if (arg == "--cache-dir") cache_dir = next();
     else if (arg == "--access-log") access_log_path = next();
     else if (arg == "--prom") prom_path = next();
-    else if (arg == "--prom-fetch") prom_fetch = next();
+    else if (arg == "--prom-fetch")
+      prom_host = cli::host_port(kTool, arg, prom_fetch = next());
     else if (arg == "--prom-out") prom_out = next();
     else if (arg == "--catalogue") catalogue_path = next();
     else {
@@ -299,15 +309,10 @@ int main(int argc, char** argv) {
     if (!prom_path.empty())
       check_prometheus(prom_path, slurp(prom_path), catalogue_path);
     if (!prom_fetch.empty()) {
-      auto colon = prom_fetch.rfind(':');
-      if (colon == std::string::npos)
-        throw std::runtime_error("--prom-fetch expects HOST:PORT");
       int status = 0;
       std::string body, err;
-      if (!obs::http_get(prom_fetch.substr(0, colon),
-                         static_cast<std::uint16_t>(
-                             std::stoi(prom_fetch.substr(colon + 1))),
-                         "/metrics", 5000, &status, &body, &err)) {
+      if (!obs::http_get(prom_host.first, prom_host.second, "/metrics", 5000, &status,
+                         &body, &err)) {
         fail(prom_fetch + ": " + err);
       } else if (status != 200) {
         fail(prom_fetch + ": /metrics answered HTTP " + std::to_string(status));

@@ -14,9 +14,10 @@
 //   --socket PATH           listen on a Unix-domain socket
 //   --port N                listen on loopback TCP (0 = ephemeral port)
 //   --host ADDR             TCP bind address (default 127.0.0.1)
-//   --workers N             concurrent jobs in flight (default 2)
+//   --workers N             concurrent jobs in flight (default 2, at
+//                           most 1024)
 //   --jobs N                threads in the shared synthesis pool
-//                           (default: hardware)
+//                           (default: hardware, at most 1024)
 //   --queue-capacity N      bounded job queue; a submit against a full
 //                           queue is rejected with a "busy" reply and a
 //                           retry_after_ms hint (default 64)
@@ -64,9 +65,13 @@
 #include "trace/flush.hpp"
 #include "trace/log.hpp"
 
+#include "cli_args.hpp"
+
 using namespace adc;
 
 namespace {
+
+constexpr char kTool[] = "adc_serve";
 
 int usage(int code) {
   std::fprintf(code ? stderr : stdout,
@@ -117,23 +122,29 @@ int main(int argc, char** argv) {
     };
     if (arg == "--help" || arg == "-h") return usage(0);
     else if (arg == "--socket") opts.unix_socket = next();
-    else if (arg == "--port") opts.port = std::stoi(next());
+    else if (arg == "--port") cli::set_number(opts.port, kTool, arg, next(), -1, 65535);
     else if (arg == "--host") opts.host = next();
-    else if (arg == "--workers") opts.workers = std::stoul(next());
-    else if (arg == "--jobs") pool_jobs = std::stoul(next());
-    else if (arg == "--queue-capacity") opts.queue_capacity = std::stoul(next());
+    else if (arg == "--workers")
+      cli::set_number(opts.workers, kTool, arg, next(), 0, cli::kMaxThreads);
+    else if (arg == "--jobs") cli::set_number(pool_jobs, kTool, arg, next(), 0, cli::kMaxThreads);
+    else if (arg == "--queue-capacity") cli::set_number(opts.queue_capacity, kTool, arg, next());
     else if (arg == "--cache-dir") opts.flow.disk_cache_dir = next();
-    else if (arg == "--cache-bytes") opts.flow.disk_cache_bytes = std::stoull(next());
-    else if (arg == "--stage-deadline-ms") opts.stage_deadline_ms = std::stoull(next());
-    else if (arg == "--job-deadline-ms") opts.default_deadline_ms = std::stoull(next());
-    else if (arg == "--max-job-deadline-ms") opts.max_deadline_ms = std::stoull(next());
+    else if (arg == "--cache-bytes")
+      cli::set_number(opts.flow.disk_cache_bytes, kTool, arg, next());
+    else if (arg == "--stage-deadline-ms")
+      cli::set_number(opts.stage_deadline_ms, kTool, arg, next());
+    else if (arg == "--job-deadline-ms")
+      cli::set_number(opts.default_deadline_ms, kTool, arg, next());
+    else if (arg == "--max-job-deadline-ms")
+      cli::set_number(opts.max_deadline_ms, kTool, arg, next());
     else if (arg == "--max-frame-bytes")
-      opts.max_frame_bytes = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--metrics-port") opts.metrics_port = std::stoi(next());
+      cli::set_number(opts.max_frame_bytes, kTool, arg, next());
+    else if (arg == "--metrics-port")
+      cli::set_number(opts.metrics_port, kTool, arg, next(), -1, 65535);
     else if (arg == "--metrics-host") opts.metrics_host = next();
     else if (arg == "--access-log") opts.access_log = next();
     else if (arg == "--access-log-max-bytes")
-      opts.access_log_max_bytes = std::stoll(next());
+      cli::set_number(opts.access_log_max_bytes, kTool, arg, next());
     else if (arg == "--trace-out") trace_path = next();
     else if (arg == "--ready-file") ready_file = next();
     else if (arg == "--fault") fault_spec = next();

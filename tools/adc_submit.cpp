@@ -50,10 +50,14 @@
 #include "serve/client.hpp"
 #include "trace/log.hpp"
 
+#include "cli_args.hpp"
+
 using namespace adc;
 using serve::ServeClient;
 
 namespace {
+
+constexpr char kTool[] = "adc_submit";
 
 int usage(int code) {
   std::fprintf(code ? stderr : stdout,
@@ -72,19 +76,6 @@ int usage(int code) {
                "  5  a job timed out or was cancelled\n"
                "  4  a job's event simulation deadlocked\n");
   return code;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, sep)) {
-    auto b = item.find_first_not_of(" \t\n");
-    auto e = item.find_last_not_of(" \t\n");
-    if (b == std::string::npos) continue;
-    out.push_back(item.substr(b, e - b + 1));
-  }
-  return out;
 }
 
 std::string member_string(const JsonValue& v, const char* key) {
@@ -108,6 +99,7 @@ int main(int argc, char** argv) {
        do_shutdown = false;
   bool drain = true;
   std::int64_t cancel_id = -1;
+  std::pair<std::string, std::uint16_t> endpoint;  // --connect
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -120,13 +112,13 @@ int main(int argc, char** argv) {
     };
     if (arg == "--help" || arg == "-h") return usage(0);
     else if (arg == "--socket") socket_path = next();
-    else if (arg == "--connect") connect_spec = next();
-    else if (arg == "--bench") for (auto& n : split(next(), ',')) bench_names.push_back(n);
-    else if (arg == "--recipes") for (auto& r : split(next(), '|')) recipes.push_back(r);
+    else if (arg == "--connect") endpoint = cli::host_port(kTool, arg, connect_spec = next());
+    else if (arg == "--bench") for (auto& n : cli::split(next(), ',')) bench_names.push_back(n);
+    else if (arg == "--recipes") for (auto& r : cli::split(next(), '|')) recipes.push_back(r);
     else if (arg == "--grid") grid = next();
     else if (arg == "--priority") priority = next();
-    else if (arg == "--deadline-ms") deadline_ms = std::stoull(next());
-    else if (arg == "--seed") seed = std::stoull(next());
+    else if (arg == "--deadline-ms") cli::set_number(deadline_ms, kTool, arg, next());
+    else if (arg == "--seed") cli::set_number(seed, kTool, arg, next());
     else if (arg == "--no-sim") simulate = false;
     else if (arg == "--client") client_name = next();
     else if (arg == "--json") json_path = next();
@@ -134,7 +126,7 @@ int main(int argc, char** argv) {
     else if (arg == "--stats") do_stats = true;
     else if (arg == "--metrics") do_metrics = true;
     else if (arg == "--ping") do_ping = true;
-    else if (arg == "--cancel") cancel_id = std::stoll(next());
+    else if (arg == "--cancel") cli::set_number(cancel_id, kTool, arg, next(), 0);
     else if (arg == "--shutdown") do_shutdown = true;
     else if (arg == "--no-drain") drain = false;
     else if (arg == "--log-level") {
@@ -155,11 +147,7 @@ int main(int argc, char** argv) {
   try {
     ServeClient client = [&] {
       if (!socket_path.empty()) return ServeClient::connect_unix(socket_path);
-      auto colon = connect_spec.rfind(':');
-      if (colon == std::string::npos)
-        throw std::runtime_error("--connect expects HOST:PORT");
-      return ServeClient::connect_tcp(connect_spec.substr(0, colon),
-                                      std::stoi(connect_spec.substr(colon + 1)));
+      return ServeClient::connect_tcp(endpoint.first, endpoint.second);
     }();
 
     // Control-plane one-shots.

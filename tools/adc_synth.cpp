@@ -76,9 +76,13 @@
 #include "trace/vcd.hpp"
 #include "xbm/print.hpp"
 
+#include "cli_args.hpp"
+
 using namespace adc;
 
 namespace {
+
+constexpr char kTool[] = "adc_synth";
 
 int usage(int code) {
   std::fprintf(code ? stderr : stdout,
@@ -98,19 +102,6 @@ int usage(int code) {
                "  5  the flow timed out or was cancelled\n"
                "  4  the event simulation deadlocked\n");
   return code;
-}
-
-std::map<std::string, std::int64_t> parse_init(const std::string& spec) {
-  std::map<std::string, std::int64_t> init;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    auto eq = item.find('=');
-    if (eq == std::string::npos)
-      throw std::invalid_argument("--simulate expects REG=VAL pairs, got '" + item + "'");
-    init[item.substr(0, eq)] = std::stoll(item.substr(eq + 1));
-  }
-  return init;
 }
 
 // Maps a point's terminal status onto the documented exit codes.
@@ -145,6 +136,7 @@ int main(int argc, char** argv) {
   std::string input_file;
   std::set<std::string> emit;
   std::string simulate;
+  std::map<std::string, std::int64_t> init;
   std::string json_path;
   std::string trace_path;
   std::string prov_path;
@@ -169,7 +161,7 @@ int main(int argc, char** argv) {
     else if (arg == "--bench") bench_name = next();
     else if (arg == "--out") out_dir = next();
     else if (arg == "--emit") emit.insert(next());
-    else if (arg == "--simulate") simulate = next();
+    else if (arg == "--simulate") init = cli::parse_init(kTool, arg, simulate = next());
     else if (arg == "--report") report = true;
     else if (arg == "--json") json_path = next();
     else if (arg == "--trace-out") trace_path = next();
@@ -177,8 +169,9 @@ int main(int argc, char** argv) {
     else if (arg == "--vcd") vcd_path = next();
     else if (arg == "--critical-path") critical_path = true;
     else if (arg == "--explain-vs") explain_vs = next();
-    else if (arg == "--deadline-ms") deadline_ms = std::stoull(next());
-    else if (arg == "--stage-deadline-ms") stage_deadline_ms = std::stoull(next());
+    else if (arg == "--deadline-ms") cli::set_number(deadline_ms, kTool, arg, next());
+    else if (arg == "--stage-deadline-ms")
+      cli::set_number(stage_deadline_ms, kTool, arg, next());
     else if (arg == "--fault") fault_spec = next();
     else if (arg == "--log-level") {
       try {
@@ -230,7 +223,7 @@ int main(int argc, char** argv) {
       req.source = std::move(source);
       req.script = script_text;
     }
-    if (!simulate.empty()) req.init = parse_init(simulate);
+    if (!simulate.empty()) req.init = std::move(init);
     if (!explain_vs.empty()) critical_path = true;  // the diff needs segments
     req.simulate = !simulate.empty() || !bench_name.empty() || !vcd_path.empty() ||
                    critical_path;

@@ -30,10 +30,14 @@
 #include "report/json_parse.hpp"
 #include "serve/client.hpp"
 
+#include "cli_args.hpp"
+
 using namespace adc;
 using serve::ServeClient;
 
 namespace {
+
+constexpr char kTool[] = "adc_top";
 
 int usage(int code) {
   std::fprintf(code ? stderr : stdout,
@@ -135,17 +139,12 @@ void render(const JsonValue& reply, const std::string& endpoint) {
       uint_of(find_series(counters, "serve.bad_requests"), "value"));
   const std::uint64_t memo_hits =
       uint_of(find_series(gauges, "logic.memo.hits"), "value");
-  const std::uint64_t memo_disk_hits =
-      uint_of(find_series(gauges, "logic.memo.disk_hits"), "value");
-  const std::uint64_t memo_misses =
-      uint_of(find_series(gauges, "logic.memo.misses"), "value");
-  const std::uint64_t memo_lookups = memo_hits + memo_disk_hits + memo_misses;
+  const std::uint64_t memo_lookups =
+      memo_hits + uint_of(find_series(gauges, "logic.memo.misses"), "value");
   std::printf(
-      "memo   hits %-9" PRIu64 " disk hits %-5" PRIu64 " entries %-7" PRIu64
-      " hit ratio %.3f\n",
-      memo_hits, memo_disk_hits,
-      uint_of(find_series(gauges, "logic.memo.entries"), "value"),
-      memo_lookups ? static_cast<double>(memo_hits + memo_disk_hits) /
+      "memo   hits %-9" PRIu64 " entries %-7" PRIu64 " hit ratio %.3f\n",
+      memo_hits, uint_of(find_series(gauges, "logic.memo.entries"), "value"),
+      memo_lookups ? static_cast<double>(memo_hits) /
                          static_cast<double>(memo_lookups)
                    : 0.0);
   std::printf(
@@ -162,6 +161,7 @@ void render(const JsonValue& reply, const std::string& endpoint) {
 
 int main(int argc, char** argv) {
   std::string socket_path, connect_spec;
+  std::pair<std::string, std::uint16_t> endpoint;  // --connect
   int interval_ms = 1000;
   bool once = false;
 
@@ -176,8 +176,8 @@ int main(int argc, char** argv) {
     };
     if (arg == "--help" || arg == "-h") return usage(0);
     else if (arg == "--socket") socket_path = next();
-    else if (arg == "--connect") connect_spec = next();
-    else if (arg == "--interval") interval_ms = std::stoi(next());
+    else if (arg == "--connect") endpoint = cli::host_port(kTool, arg, connect_spec = next());
+    else if (arg == "--interval") cli::set_number(interval_ms, kTool, arg, next());
     else if (arg == "--once") once = true;
     else return usage(2);
   }
@@ -190,11 +190,7 @@ int main(int argc, char** argv) {
   try {
     ServeClient client = [&] {
       if (!socket_path.empty()) return ServeClient::connect_unix(socket_path);
-      auto colon = connect_spec.rfind(':');
-      if (colon == std::string::npos)
-        throw std::runtime_error("--connect expects HOST:PORT");
-      return ServeClient::connect_tcp(connect_spec.substr(0, colon),
-                                      std::stoi(connect_spec.substr(colon + 1)));
+      return ServeClient::connect_tcp(endpoint.first, endpoint.second);
     }();
     const std::string endpoint =
         socket_path.empty() ? connect_spec : socket_path;
