@@ -39,43 +39,23 @@ int main() {
   std::printf("cells: totals across the four controllers (%zu workers)\n\n", pool.size());
 
   // Part 1: the DIFFEQ ablation rows, as (label, recipe script) pairs.
-  std::vector<std::pair<std::string, std::string>> ablation;
-  GlobalPipelineOptions all;
-  ablation.emplace_back("no transforms", script_for(all, false, false));
-  ablation.emplace_back("all GT, no LT", script_for(all, true, false));
-  ablation.emplace_back("all GT + LT", script_for(all, true, true));
-
-  struct Knock {
-    const char* label;
-    void (*tweak)(GlobalPipelineOptions&);
+  // Each "without" row drops one transform from the paper's recipe (the
+  // GT2 cleanup after GT4 goes with either of them).
+  const std::vector<std::pair<std::string, std::string>> ablation = {
+      {"no transforms", ""},
+      {"all GT, no LT", kOptimizedGt},
+      {"all GT + LT", kPaperRecipe},
+      {"without GT1 (loop par.)", "gt2; gt3; gt4; gt2; gt5; lt"},
+      {"without GT2 (dominated)", "gt1; gt3; gt4; gt5; lt"},
+      {"without GT3 (rel. timing)", "gt1; gt2; gt4; gt2; gt5; lt"},
+      {"without GT4 (merge assign)", "gt1; gt2; gt3; gt5; lt"},
+      {"without GT5 (channels)", "gt1; gt2; gt3; gt4; gt2; lt"},
+      // GT5 policy exploration: the broadcast-formation policy trades
+      // wires against receiver bookkeeping.
+      {"GT5 aggressive broadcast", "gt1; gt2; gt3; gt4; gt2; gt5(broadcast=all); lt"},
+      {"GT5 no broadcast", "gt1; gt2; gt3; gt4; gt2; gt5(broadcast=none); lt"},
+      {"GT5 + concurrency reduction", "gt1; gt2; gt3; gt4; gt2; gt5(maxperiod=200); lt"},
   };
-  const Knock knocks[] = {
-      {"without GT1 (loop par.)", [](GlobalPipelineOptions& o) { o.gt1 = false; }},
-      {"without GT2 (dominated)", [](GlobalPipelineOptions& o) { o.gt2 = false; }},
-      {"without GT3 (rel. timing)", [](GlobalPipelineOptions& o) { o.gt3 = false; }},
-      {"without GT4 (merge assign)", [](GlobalPipelineOptions& o) { o.gt4 = false; }},
-      {"without GT5 (channels)", [](GlobalPipelineOptions& o) { o.gt5 = false; }},
-  };
-  for (const auto& k : knocks) {
-    GlobalPipelineOptions o;
-    k.tweak(o);
-    ablation.emplace_back(k.label, script_for(o, true, true));
-  }
-
-  // GT5 policy exploration: the broadcast-formation policy trades wires
-  // against receiver bookkeeping.
-  {
-    GlobalPipelineOptions o;
-    o.gt5_options.same_source = Gt5Options::SameSource::kAll;
-    ablation.emplace_back("GT5 aggressive broadcast", script_for(o, true, true));
-    GlobalPipelineOptions o2;
-    o2.gt5_options.same_source = Gt5Options::SameSource::kNone;
-    ablation.emplace_back("GT5 no broadcast", script_for(o2, true, true));
-    GlobalPipelineOptions o3;
-    o3.gt5_options.concurrency_reduction = true;
-    o3.gt5_options.max_period_increase = 200;
-    ablation.emplace_back("GT5 + concurrency reduction", script_for(o3, true, true));
-  }
 
   std::vector<FlowRequest> reqs;
   for (const auto& [label, script] : ablation) reqs.push_back(request_for("diffeq", script));
@@ -91,12 +71,10 @@ int main() {
   // Part 2: the same surface for the other bundled benchmarks.
   std::printf("all benchmarks, unoptimized vs fully optimized:\n");
   const char* cases[] = {"diffeq", "gcd", "fir4", "mac_reduce", "ewf_lite", "ewf"};
-  std::string none = script_for({}, false, false);
-  std::string full = script_for({}, true, true);
   std::vector<FlowRequest> breqs;
   for (const char* c : cases) {
-    breqs.push_back(request_for(c, none));
-    breqs.push_back(request_for(c, full));
+    breqs.push_back(request_for(c, ""));
+    breqs.push_back(request_for(c, kPaperRecipe));
   }
   std::vector<FlowPoint> bpoints = exec.run_all(breqs);
 

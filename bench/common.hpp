@@ -17,7 +17,7 @@
 #include "sim/event_sim.hpp"
 #include "sim/golden.hpp"
 #include "sim/token_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc::bench {
 
@@ -62,20 +62,24 @@ struct FlowResult {
   std::vector<TransformResult> stages;
 };
 
-inline FlowResult run_flow(Cdfg graph, bool gt, bool lt,
-                           const GlobalPipelineOptions& gt_opts = {}) {
+// The figures' "optimized-GT" recipe: the paper's global transforms
+// without the local ones ("unoptimized" is the empty script, and
+// "optimized-GT-and-LT" kPaperRecipe).
+inline constexpr const char* kOptimizedGt = "gt1; gt2; gt3; gt4; gt2; gt5";
+
+// Applies `script`'s global steps, extracts the controllers and, when the
+// script has an `lt` step, runs the local transforms it configures.
+inline FlowResult run_flow(Cdfg graph, const std::string& script) {
+  const TransformScript recipe = TransformScript::parse(script);
   FlowResult out;
   out.g = std::move(graph);
-  if (gt) {
-    auto res = run_global_transforms(out.g, gt_opts);
-    out.plan = std::move(res.plan);
-    out.stages = std::move(res.stages);
-  } else {
-    out.plan = ChannelPlan::derive(out.g);
-  }
+  auto res = recipe.run(out.g);
+  out.plan = std::move(res.plan);
+  out.stages = std::move(res.stages);
   for (auto& c : extract_controllers(out.g, out.plan)) {
     ControllerInstance inst;
-    if (lt) inst.shared_signals = run_local_transforms(c).shared_signals;
+    if (recipe.has_local_step())
+      inst.shared_signals = run_local_transforms(c, recipe.local_options()).shared_signals;
     inst.controller = std::move(c);
     out.instances.push_back(std::move(inst));
   }

@@ -33,11 +33,11 @@ void show_fragment(const Cdfg& g, const Xbm& m, const char* title) {
 int main() {
   std::printf("Figure 11 — burst-mode expansion of the RTL node A := Y + M1\n\n");
 
-  FlowResult unopt = run_flow(diffeq(), true, false);
+  FlowResult unopt = run_flow(diffeq(), kOptimizedGt);
   show_fragment(unopt.g, controller(unopt, "ALU1").machine,
                 "direct translation (micro-operations (i)-(vi)):");
 
-  FlowResult opt = run_flow(diffeq(), true, true);
+  FlowResult opt = run_flow(diffeq(), kPaperRecipe);
   show_fragment(opt.g, controller(opt, "ALU1").machine,
                 "after LT1-LT5 (acks removed, dones moved up, muxes preselected):");
 

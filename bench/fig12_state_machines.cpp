@@ -24,12 +24,12 @@ int main() {
 
   struct Variant {
     const char* label;
-    bool gt, lt;
+    const char* script;
   };
-  for (const Variant v : {Variant{"unoptimized", false, false},
-                          Variant{"optimized-GT", true, false},
-                          Variant{"optimized-GT-and-LT", true, true}}) {
-    FlowResult f = run_flow(diffeq(), v.gt, v.lt);
+  for (const Variant v : {Variant{"unoptimized", ""},
+                          Variant{"optimized-GT", kOptimizedGt},
+                          Variant{"optimized-GT-and-LT", kPaperRecipe}}) {
+    FlowResult f = run_flow(diffeq(), v.script);
     std::string channels =
         std::to_string(f.plan.count_controller_channels()) + " (+" +
         std::to_string(f.plan.count_all_channels() - f.plan.count_controller_channels()) +
@@ -51,7 +51,7 @@ int main() {
   std::printf("%s\n", t.to_string().c_str());
 
   // The per-stage change log of the global pipeline (what the transforms did).
-  FlowResult f = run_flow(diffeq(), true, true);
+  FlowResult f = run_flow(diffeq(), kPaperRecipe);
   std::printf("global transformation log:\n");
   for (const auto& s : f.stages) {
     std::printf("  %s: -%d arcs, +%d arcs, %d node merges, %d channel merges\n",

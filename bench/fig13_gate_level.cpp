@@ -43,7 +43,7 @@ int main() {
   std::printf("Figure 13 — gate-level comparison (DIFFEQ)\n");
   std::printf("cells: #products/#literals (shared AND-plane counting)\n\n");
 
-  FlowResult f = run_flow(diffeq(), true, true);
+  FlowResult f = run_flow(diffeq(), kPaperRecipe);
   Cells ours = synthesize_all(f);
 
   Table t({"method", "ALU1", "ALU2", "MUL1", "MUL2", "total"});
@@ -75,18 +75,18 @@ int main() {
   Table trend({"experiment", "total products", "total literals"});
   struct Variant {
     const char* label;
-    bool gt, lt;
+    const char* script;
   };
-  std::size_t unopt_l = 0, opt_l = 0;
-  for (const Variant v : {Variant{"unoptimized", false, false},
-                          Variant{"optimized-GT", true, false},
-                          Variant{"optimized-GT-and-LT", true, true}}) {
-    FlowResult fv = run_flow(diffeq(), v.gt, v.lt);
+  std::vector<std::size_t> literals;  // per variant, in row order
+  for (const Variant v : {Variant{"unoptimized", ""},
+                          Variant{"optimized-GT", kOptimizedGt},
+                          Variant{"optimized-GT-and-LT", kPaperRecipe}}) {
+    FlowResult fv = run_flow(diffeq(), v.script);
     Cells c = synthesize_all(fv);
-    if (!v.gt) unopt_l = c.tl;
-    if (v.gt && v.lt) opt_l = c.tl;
+    literals.push_back(c.tl);
     trend.add_row({v.label, std::to_string(c.tp), std::to_string(c.tl)});
   }
+  const std::size_t unopt_l = literals.front(), opt_l = literals.back();
   std::printf("%s", trend.to_string().c_str());
   if (unopt_l > 0)
     std::printf("literal reduction unoptimized -> GT+LT: %.0f%%\n",

@@ -17,11 +17,11 @@ int main() {
 
   struct Variant {
     const char* label;
-    bool gt, lt;
+    const char* script;
   };
-  const Variant variants[] = {{"unoptimized", false, false},
-                              {"optimized-GT", true, false},
-                              {"optimized-GT-and-LT", true, true}};
+  const Variant variants[] = {{"unoptimized", ""},
+                              {"optimized-GT", kOptimizedGt},
+                              {"optimized-GT-and-LT", kPaperRecipe}};
 
   // --- token-level (CDFG firing) latency -------------------------------
   std::printf("CDFG token simulation (architecture-level latency):\n");
@@ -30,9 +30,10 @@ int main() {
   for (std::int64_t a : {4, 8, 16, 32, 64}) {
     std::map<std::string, std::int64_t> times;
     for (const auto& v : variants) {
-      if (v.lt) continue;  // LT does not change the CDFG-level graph
+      const TransformScript recipe = TransformScript::parse(v.script);
+      if (recipe.has_local_step()) continue;  // LT does not change the CDFG-level graph
       Cdfg g = diffeq();
-      if (v.gt) run_global_transforms(g);
+      recipe.run(g);
       TokenSimOptions o;
       o.randomize_delays = false;
       auto r = run_token_sim(g, diffeq_inputs(a), o);
@@ -60,7 +61,7 @@ int main() {
   for (std::int64_t a : {4, 8, 16, 32}) {
     std::map<std::string, std::int64_t> times;
     for (const auto& v : variants) {
-      FlowResult f = run_flow(diffeq(), v.gt, v.lt);
+      FlowResult f = run_flow(diffeq(), v.script);
       EventSimOptions o;
       o.randomize_delays = false;
       auto r = run_event_sim(f.g, f.plan, f.instances, diffeq_inputs(a), o);
@@ -84,7 +85,7 @@ int main() {
   std::printf("iteration overlap (token simulation, randomized delays):\n");
   for (bool gt : {false, true}) {
     Cdfg g = diffeq();
-    if (gt) run_global_transforms(g);
+    if (gt) TransformScript::parse(kPaperRecipe).run(g);
     int overlap = 1;
     for (unsigned seed = 1; seed <= 10; ++seed) {
       TokenSimOptions o;

@@ -14,7 +14,7 @@
 #include "ltrans/local.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/token_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 using namespace adc;
 
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
                                            {"w1", 1}, {"w2", 1}, {"n", 4},  {"C", 1}};
   auto gold = run_sequential(g, init);
 
-  auto global = run_global_transforms(g);
+  auto global = TransformScript::parse(kPaperRecipe).run(g);
   std::printf("after GT: %zu controller-controller channels\n",
               global.plan.count_controller_channels());
 

@@ -14,7 +14,7 @@
 #include "ltrans/local.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/golden.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 #include "xbm/print.hpp"
 
 using namespace adc;
@@ -28,7 +28,7 @@ int main() {
               g.live_node_count(), g.live_arc_count());
   std::ofstream("diffeq_initial.dot") << to_dot(g);
 
-  auto global = run_global_transforms(g);
+  auto global = TransformScript::parse(kPaperRecipe).run(g);
   std::printf("\n[2] global transformations:\n");
   for (const auto& s : global.stages)
     std::printf("    %-36s -%d arcs +%d arcs, %d merges\n", s.name.c_str(),

@@ -15,7 +15,7 @@
 #include "sched/scheduler.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/token_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 using namespace adc;
 
@@ -53,7 +53,7 @@ int main() {
     auto gold = run_sequential(g, init);
 
     // Synthesize and simulate.
-    auto global = run_global_transforms(g);
+    auto global = TransformScript::parse(kPaperRecipe).run(g);
     std::vector<ControllerInstance> instances;
     std::size_t states = 0;
     for (auto& c : extract_controllers(g, global.plan)) {

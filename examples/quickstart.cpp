@@ -10,7 +10,7 @@
 #include "frontend/builder.hpp"
 #include "ltrans/local.hpp"
 #include "sim/event_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 #include "xbm/print.hpp"
 
 using namespace adc;
@@ -30,7 +30,7 @@ int main() {
 
   // 2. Global transformations (GT1-GT5) optimize the controller-controller
   //    communication; the channel plan maps constraint arcs onto wires.
-  auto global = run_global_transforms(graph);
+  auto global = TransformScript::parse(kPaperRecipe).run(graph);
   std::printf("channels after GT: %zu controller-controller, %zu total\n",
               global.plan.count_controller_channels(),
               global.plan.count_all_channels());

@@ -114,7 +114,6 @@ class Cdfg {
   explicit Cdfg(std::string name = "cdfg") : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   // --- construction -------------------------------------------------------
   FuId add_fu(std::string name, std::string cls);
@@ -149,7 +148,6 @@ class Cdfg {
 
   std::size_t fu_count() const { return fus_.size(); }
   std::size_t node_capacity() const { return nodes_.size(); }  // incl. dead
-  std::size_t arc_capacity() const { return arcs_.size(); }    // incl. dead
 
   // Live objects.
   std::vector<NodeId> node_ids() const;

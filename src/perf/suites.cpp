@@ -15,15 +15,12 @@
 #include "sim/event_sim.hpp"
 #include "sim/token_sim.hpp"
 #include "transforms/global.hpp"
-#include "transforms/pipeline.hpp"
 #include "transforms/script.hpp"
 
 namespace adc {
 namespace perf {
 
 namespace {
-
-constexpr const char* kFullRecipe = "gt1; gt2; gt3; gt4; gt2; gt5; lt";
 
 RandomProgramParams sized(int stmts) {
   RandomProgramParams p;
@@ -47,7 +44,7 @@ std::shared_ptr<const DiffeqArtifacts> diffeq_artifacts() {
   static std::shared_ptr<const DiffeqArtifacts> cached = [] {
     auto a = std::make_shared<DiffeqArtifacts>();
     a->g = diffeq();
-    auto res = run_global_transforms(a->g);
+    auto res = TransformScript::parse(kPaperRecipe).run(a->g);
     a->plan = std::move(res.plan);
     for (auto& c : extract_controllers(a->g, a->plan)) {
       ControllerInstance inst;
@@ -87,15 +84,17 @@ void register_frontend() {
 }
 
 void register_gt() {
-  add("gt", "gt.pipeline_diffeq", [](BenchContext& ctx) {
+  // The recipe is parsed once, outside the timed iterations.
+  const TransformScript paper = TransformScript::parse(kPaperRecipe);
+  add("gt", "gt.pipeline_diffeq", [paper](BenchContext& ctx) {
     Cdfg g = diffeq();
-    auto res = run_global_transforms(g);
+    auto res = paper.run(g);
     ctx.counters["channels"] =
         static_cast<double>(res.plan.count_controller_channels());
   });
-  add("gt", "gt.pipeline_random", [](BenchContext& ctx) {
+  add("gt", "gt.pipeline_random", [paper](BenchContext& ctx) {
     Cdfg g = random_program(sized(ctx.quick ? 10 : 40), 42);
-    auto res = run_global_transforms(g);
+    auto res = paper.run(g);
     ctx.counters["channels"] =
         static_cast<double>(res.plan.count_controller_channels());
   });
@@ -149,9 +148,10 @@ std::shared_ptr<const std::vector<FunctionSpec>> diffeq_specs() {
 std::shared_ptr<const std::vector<ConcreteMachine>> library_machines() {
   static std::shared_ptr<const std::vector<ConcreteMachine>> cached = [] {
     auto v = std::make_shared<std::vector<ConcreteMachine>>();
+    const TransformScript paper = TransformScript::parse(kPaperRecipe);
     for (const auto& b : builtin_benchmarks()) {
       Cdfg g = b.make();
-      auto res = run_global_transforms(g);
+      auto res = paper.run(g);
       for (auto& c : extract_controllers(g, res.plan)) {
         run_local_transforms(c);
         v->push_back(concretize(c.machine, &c.bindings));
@@ -266,7 +266,7 @@ void register_sim() {
   add("sim", "sim.token_diffeq_gt", [](BenchContext& ctx) {
     static const std::shared_ptr<const Cdfg> g = [] {
       auto gp = std::make_shared<Cdfg>(diffeq());
-      run_global_transforms(*gp);
+      TransformScript::parse(kPaperRecipe).run(*gp);
       return gp;
     }();
     Cdfg run_g = *g;
@@ -288,7 +288,7 @@ void register_sim() {
 
 void register_flow() {
   add("flow", "flow.cold_diffeq", [](BenchContext& ctx) {
-    FlowRequest req = make_builtin_request(*find_builtin("diffeq"), kFullRecipe);
+    FlowRequest req = make_builtin_request(*find_builtin("diffeq"), kPaperRecipe);
     req.simulate = false;
     FlowExecutor::Options o;
     o.cache_capacity = 0;
@@ -301,12 +301,12 @@ void register_flow() {
   add("flow", "flow.warm_diffeq", [](BenchContext& ctx) {
     static const std::shared_ptr<FlowExecutor> exec = [] {
       auto e = std::make_shared<FlowExecutor>(nullptr);
-      FlowRequest req = make_builtin_request(*find_builtin("diffeq"), kFullRecipe);
+      FlowRequest req = make_builtin_request(*find_builtin("diffeq"), kPaperRecipe);
       req.simulate = false;
       e->run(req);  // prime the stage cache
       return e;
     }();
-    FlowRequest req = make_builtin_request(*find_builtin("diffeq"), kFullRecipe);
+    FlowRequest req = make_builtin_request(*find_builtin("diffeq"), kPaperRecipe);
     req.simulate = false;
     FlowPoint p = exec->run(req);
     ctx.counters["literals"] = static_cast<double>(p.literals);

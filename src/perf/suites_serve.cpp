@@ -80,8 +80,7 @@ void register_serve_suites() {
          }();
          serve::ServeClient client =
              serve::ServeClient::connect_unix(server->unix_path());
-         std::uint64_t id = client.submit(
-             submit_payload("gt1; gt2; gt3; gt4; gt2; gt5; lt"));
+         std::uint64_t id = client.submit(submit_payload(kPaperRecipe));
          JsonValue point = client.wait_result(id);
          const JsonValue* lits = point.find("literals");
          ctx.counters["literals"] = lits ? lits->number : 0.0;

@@ -1,5 +1,6 @@
 #include "runtime/flow.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <ctime>
 #include <exception>
@@ -141,6 +142,28 @@ const char* to_string(FlowStatus s) {
     case FlowStatus::kError: return "error";
   }
   return "error";
+}
+
+std::optional<FlowStatus> parse_flow_status(const std::string& name) {
+  for (FlowStatus s : {FlowStatus::kOk, FlowStatus::kDeadlock, FlowStatus::kTimeout,
+                       FlowStatus::kCancelled, FlowStatus::kFault, FlowStatus::kError})
+    if (name == to_string(s)) return s;
+  return std::nullopt;
+}
+
+int batch_exit_code(const std::vector<FlowStatus>& statuses) {
+  int rc = 0;
+  for (FlowStatus s : statuses) {
+    switch (s) {
+      case FlowStatus::kOk: break;
+      case FlowStatus::kDeadlock: rc = std::max(rc, 4); break;
+      case FlowStatus::kTimeout:
+      case FlowStatus::kCancelled: rc = std::max(rc, 5); break;
+      case FlowStatus::kFault:
+      case FlowStatus::kError: rc = 6; break;
+    }
+  }
+  return rc;
 }
 
 // Graph + accumulated pipeline log after a script prefix.
@@ -712,15 +735,12 @@ FlowPoint parse_flow_point(const std::string& json) {
   p.benchmark = r.required<std::string>("benchmark");
   p.script = r.required<std::string>("script");
   p.ok = r.required<bool>("ok");
-  const std::optional<std::string> status = r.optional<std::string>("status");
-  bool known = false;
-  for (FlowStatus s : {FlowStatus::kOk, FlowStatus::kDeadlock, FlowStatus::kTimeout,
-                       FlowStatus::kCancelled, FlowStatus::kFault, FlowStatus::kError})
-    if (status == to_string(s)) {
-      p.status = s;
-      known = true;
-    }
-  if (!known) r.problem("status is missing or not a flow status");
+  const std::optional<FlowStatus> status =
+      parse_flow_status(r.optional<std::string>("status").value_or(""));
+  if (status)
+    p.status = *status;
+  else
+    r.problem("status is missing or not a flow status");
   p.deadlocked = p.status == FlowStatus::kDeadlock;
   p.attempts = r.optional<unsigned>("attempts").value_or(1);
   p.from_disk_cache = r.optional<bool>("from_disk_cache").value_or(false);
@@ -825,77 +845,6 @@ std::vector<std::string> gt_ablation_grid(bool with_lt) {
     grid.push_back(std::move(s));
   }
   return grid;
-}
-
-std::string script_for(const GlobalPipelineOptions& o, bool gt, bool lt,
-                       const LocalTransformOptions& lt_opts) {
-  std::string s;
-  auto append = [&](const std::string& step) {
-    if (!s.empty()) s += "; ";
-    s += step;
-  };
-  if (gt) {
-    if (o.gt1) append("gt1");
-    if (o.gt2) append("gt2");
-    if (o.gt3) {
-      Gt3Options defaults;
-      std::string step = "gt3";
-      std::vector<std::string> args;
-      if (o.gt3_options.margin != defaults.margin)
-        args.push_back("margin=" + std::to_string(o.gt3_options.margin));
-      if (o.gt3_options.samples != defaults.samples)
-        args.push_back("samples=" + std::to_string(o.gt3_options.samples));
-      if (!args.empty()) {
-        step += '(';
-        for (std::size_t i = 0; i < args.size(); ++i)
-          step += (i ? ", " : "") + args[i];
-        step += ')';
-      }
-      append(step);
-    }
-    if (o.gt4) append("gt4");
-    if (o.gt2 && o.gt4) append("gt2");  // the pipeline's post-GT4 cleanup pass
-    if (o.gt5) {
-      std::string step = "gt5";
-      std::vector<std::string> args;
-      if (o.gt5_options.same_source == Gt5Options::SameSource::kAll)
-        args.push_back("broadcast=all");
-      else if (o.gt5_options.same_source == Gt5Options::SameSource::kNone)
-        args.push_back("broadcast=none");
-      if (!o.gt5_options.multiplex) args.push_back("no_mux");
-      if (!o.gt5_options.symmetrize) args.push_back("no_sym");
-      if (o.gt5_options.concurrency_reduction) {
-        if (o.gt5_options.max_period_increase > 0)
-          args.push_back("maxperiod=" +
-                         std::to_string(o.gt5_options.max_period_increase));
-        else
-          args.push_back("concred");
-      }
-      if (!args.empty()) {
-        step += '(';
-        for (std::size_t i = 0; i < args.size(); ++i)
-          step += (i ? ", " : "") + args[i];
-        step += ')';
-      }
-      append(step);
-    }
-  }
-  if (lt) {
-    std::string step = "lt";
-    std::vector<std::string> args;
-    if (!lt_opts.lt1_move_up_dones) args.push_back("no_move_up");
-    if (!lt_opts.lt2_move_down_resets) args.push_back("no_move_down");
-    if (!lt_opts.lt3_mux_preselection) args.push_back("no_presel");
-    if (!lt_opts.lt4_remove_acks) args.push_back("no_acks");
-    if (!lt_opts.lt5_signal_sharing) args.push_back("no_sharing");
-    if (!args.empty()) {
-      step += '(';
-      for (std::size_t i = 0; i < args.size(); ++i) step += (i ? ", " : "") + args[i];
-      step += ')';
-    }
-    append(step);
-  }
-  return s;
 }
 
 }  // namespace adc

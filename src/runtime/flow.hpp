@@ -28,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,12 @@ enum class FlowStatus {
   kError,      // any other failure (infeasible logic, bad input, ...)
 };
 const char* to_string(FlowStatus s);
+// The status to_string() names `name`, or nullopt.
+std::optional<FlowStatus> parse_flow_status(const std::string& name);
+// The batch tools' exit code (docs/ROBUSTNESS.md) for a set of terminal
+// statuses — the worst wins: 6 fault/error, 5 timeout/cancelled,
+// 4 deadlock, 0 when every point is ok or there are none.
+int batch_exit_code(const std::vector<FlowStatus>& statuses);
 
 // One synthesis job: a program, a transformation recipe and the
 // verification inputs.
@@ -66,8 +73,9 @@ struct FlowRequest {
   // Program text in the frontend DSL.  Empty: `make` supplies the graph.
   std::string source;
   std::function<Cdfg()> make;
-  // Transformation recipe (transforms/script.hpp syntax).
-  std::string script = "gt1; gt2; gt3; gt4; gt2; gt5; lt";
+  // Transformation recipe (transforms/script.hpp syntax); the paper's
+  // full recipe by default.
+  std::string script = kPaperRecipe;
   // Event-simulation inputs; empty `init` with simulate=true still runs
   // (registers default to 0 in the simulator's datapath).
   std::map<std::string, std::int64_t> init;
@@ -277,14 +285,9 @@ FlowRequest make_builtin_request(const BuiltinBenchmark& b, std::string script);
 
 // The 32-recipe GT ablation grid (every gt1..gt5 on/off combination, the
 // paper's standard step order, local transforms appended) — the grid the
-// Figure 12/13 reproduction sweeps.
+// Figure 12/13 reproduction sweeps.  The GT2 cleanup pass after GT4 is
+// part of every recipe holding both, so the full grid's last recipe is
+// kPaperRecipe (with_lt) or kPaperRecipe without its `lt` step.
 std::vector<std::string> gt_ablation_grid(bool with_lt = true);
-
-// Canonical script rendering of transforms/pipeline.hpp's fixed step order
-// for a set of pipeline options — the bridge from the option-struct API the
-// benches use onto the runtime's content-addressed recipes.  `gt`/`lt`
-// gate the global pipeline / the local-transform step wholesale.
-std::string script_for(const GlobalPipelineOptions& o, bool gt, bool lt,
-                       const LocalTransformOptions& lt_opts = {});
 
 }  // namespace adc

@@ -27,8 +27,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "runtime/cancel.hpp"
-
 namespace adc {
 
 class ThreadPool {
@@ -69,20 +67,6 @@ class ThreadPool {
   template <typename R>
   R wait(std::future<R>&& fut) {
     return wait(fut);
-  }
-
-  // Cancel-aware helping wait: like wait(), but stops helping once the
-  // token trips.  Returns true when the future became ready (call
-  // fut.get()); false when cancellation won the race — the task itself is
-  // expected to observe the same token and unwind shortly, cancellation
-  // here never abandons running work non-cooperatively.
-  template <typename R>
-  bool wait_ready(std::future<R>& fut, const CancelToken* cancel) {
-    help_while([&] {
-      if (cancel && cancel->cancelled()) return false;
-      return fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
-    });
-    return fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
   }
 
   // Blocks (helping) until every submitted task has finished.

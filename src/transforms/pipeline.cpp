@@ -14,30 +14,4 @@ int GlobalPipelineResult::total_arcs_added() const {
   return n;
 }
 
-GlobalPipelineResult run_global_transforms(Cdfg& g, const GlobalPipelineOptions& opts) {
-  GlobalPipelineResult res;
-  Gt3Options gt3_opts = opts.gt3_options;
-
-  if (opts.gt1) res.stages.push_back(gt1_loop_parallelism(g));
-  if (opts.gt2) res.stages.push_back(gt2_remove_dominated(g));
-  if (opts.gt3) res.stages.push_back(gt3_relative_timing(g, opts.delays, gt3_opts));
-  if (opts.gt4) res.stages.push_back(gt4_merge_assignments(g));
-  // GT4 node merges can turn surviving arcs into dominated ones.
-  if (opts.gt2 && opts.gt4) {
-    auto again = gt2_remove_dominated(g);
-    again.name = "GT2 cleanup after GT4";
-    res.stages.push_back(std::move(again));
-  }
-  if (opts.gt5) {
-    Gt5Options gt5_opts = opts.gt5_options;
-    gt5_opts.delays = opts.delays;
-    auto gt5 = gt5_channel_elimination(g, gt5_opts);
-    res.stages.push_back(std::move(gt5.stats));
-    res.plan = std::move(gt5.plan);
-  } else {
-    res.plan = ChannelPlan::derive(g);
-  }
-  return res;
-}
-
 }  // namespace adc

@@ -1,37 +1,20 @@
 #pragma once
-// The scripted global-transformation pipeline (paper §2.3 step 1): GT1
-// loop parallelism, GT2 dominated-constraint removal, GT3 relative timing,
-// GT4 assignment merging, a GT2 cleanup pass, then GT5 channel elimination.
-// Individual transforms can be disabled for ablation studies.
+// The result of a global-transformation run (paper §2.3 step 1): the
+// per-stage log and the final channel plan.  A recipe is a TransformScript
+// (transforms/script.hpp); TransformScript::run applies a whole recipe and
+// run_step one step of it.
 
-#include "cdfg/cdfg.hpp"
-#include "cdfg/delay.hpp"
 #include "channel/channel.hpp"
-#include "transforms/global.hpp"
-#include "transforms/gt5.hpp"
+#include "transforms/transform.hpp"
 
 namespace adc {
 
-struct GlobalPipelineOptions {
-  bool gt1 = true;
-  bool gt2 = true;
-  bool gt3 = true;
-  bool gt4 = true;
-  bool gt5 = true;
-  DelayModel delays = DelayModel::typical();
-  Gt3Options gt3_options;
-  Gt5Options gt5_options;
-};
-
 struct GlobalPipelineResult {
   std::vector<TransformResult> stages;
-  ChannelPlan plan;  // the final channel assignment (unoptimized if !gt5)
+  ChannelPlan plan;  // the final channel assignment (unoptimized if no gt5)
 
   int total_arcs_removed() const;
   int total_arcs_added() const;
 };
-
-GlobalPipelineResult run_global_transforms(Cdfg& g,
-                                           const GlobalPipelineOptions& opts = {});
 
 }  // namespace adc

@@ -223,15 +223,13 @@ std::string TransformScript::step_string(std::size_t i) const {
   return out;
 }
 
-std::string TransformScript::prefix_string(std::size_t n) const {
+std::string TransformScript::to_string() const {
   std::string out;
-  for (std::size_t i = 0; i < n && i < steps_.size(); ++i) {
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
     if (!out.empty()) out += "; ";
     out += step_string(i);
   }
   return out;
 }
-
-std::string TransformScript::to_string() const { return prefix_string(steps_.size()); }
 
 }  // namespace adc

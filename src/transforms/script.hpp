@@ -1,9 +1,9 @@
 #pragma once
 // Transform scripting — the paper closes with "algorithmic heuristics and
 // scripts based on the set of transformations … are forthcoming"; this
-// module supplies them.  A script is a semicolon-separated sequence of
-// transformation steps applied in order (steps may repeat), in the spirit
-// of SIS scripts:
+// module supplies them.  A script is the one form a recipe takes: a
+// semicolon-separated sequence of transformation steps applied in order
+// (steps may repeat), in the spirit of SIS scripts:
 //
 //   gt1; gt2; gt3(margin=2); gt4; gt2; gt5(broadcast=all); lt(no_sharing)
 //
@@ -25,10 +25,16 @@
 #include <string>
 #include <vector>
 
+#include "cdfg/delay.hpp"
 #include "ltrans/local.hpp"
 #include "transforms/pipeline.hpp"
 
 namespace adc {
+
+// The paper's full recipe: GT1-GT4, a GT2 cleanup pass (GT4's node merges
+// can turn surviving arcs into dominated ones), GT5, then the local
+// transforms.  The default of every tool and of FlowRequest.
+inline constexpr const char* kPaperRecipe = "gt1; gt2; gt3; gt4; gt2; gt5; lt";
 
 class TransformScript {
  public:
@@ -42,10 +48,9 @@ class TransformScript {
   // Number of parsed steps (including the `lt` step, which is a global
   // no-op — run_step returns immediately for it).
   std::size_t step_count() const { return steps_.size(); }
-  // Normalized rendering of step `i` alone, and of the prefix [0, n) —
-  // stable strings suitable as content-address components.
+  // Normalized rendering of step `i` alone — a stable string suitable as a
+  // content-address component.
   std::string step_string(std::size_t i) const;
-  std::string prefix_string(std::size_t n) const;
   // Applies step `i` to `g`, appending its log to `res.stages` (and setting
   // `res.plan` for gt5).  Returns true when the step produced a plan.
   bool run_step(Cdfg& g, std::size_t i, const DelayModel& delays,

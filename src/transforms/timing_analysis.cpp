@@ -107,34 +107,4 @@ std::optional<ArrivalInterval> UnrolledTiming::completion(NodeId n, int copy) co
   return completion_[static_cast<std::size_t>(copy)][n.index()];
 }
 
-bool UnrolledTiming::never_last(ArcId u, std::int64_t margin) const {
-  const Arc& arc = g_.arc(u);
-  NodeId b = arc.dst;
-  bool proven_somewhere = false;
-  for (int copy = 0; copy < unroll_; ++copy) {
-    if (copy > 0 && !repeats(g_, b)) break;
-    int src_copy = repeats(g_, arc.src) ? copy - arc.offset() : 0;
-    if (src_copy < 0) continue;  // pre-enabled: u is not a constraint here
-    auto u_arr = completion(arc.src, src_copy);
-    if (!u_arr) continue;
-
-    bool covered = false;
-    for (ArcId wid : g_.in_arcs(b)) {
-      if (wid == u) continue;
-      const Arc& w = g_.arc(wid);
-      int w_copy = repeats(g_, w.src) ? copy - w.offset() : 0;
-      if (w_copy < 0) continue;
-      auto w_arr = completion(w.src, w_copy);
-      if (!w_arr) continue;
-      if (u_arr->latest + margin < w_arr->earliest) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) return false;
-    proven_somewhere = true;
-  }
-  return proven_somewhere;
-}
-
 }  // namespace adc

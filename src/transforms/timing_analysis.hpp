@@ -1,14 +1,12 @@
 #pragma once
-// Min/max arrival-time analysis on an unrolled-loop DAG, the engine behind
-// GT3 (relative-timing arc removal) and the timing-safety queries of the
-// local transforms.
+// Min/max arrival-time analysis on an unrolled-loop DAG: GT5's
+// concurrency reduction reads the steady-state completion bound from it.
 //
 // Each CDFG node instance completes within [earliest, latest] of the
 // analysis origin; completion of arc (a -> b) "arrives" at b when a's
 // instance completes.  Arrival intervals are computed independently per
-// node (correlations between shared sub-paths are ignored), which makes
-// the comparison `latest(u) < earliest(w)` a sound — conservative — proof
-// that arc u can never be the last arrival at its destination.
+// node (correlations between shared sub-paths are ignored), so the bounds
+// are conservative.
 
 #include <cstdint>
 #include <map>
@@ -34,13 +32,6 @@ class UnrolledTiming {
   // Completion interval of node n in unrolled copy k (0-based).
   // Returns std::nullopt if the instance does not exist.
   std::optional<ArrivalInterval> completion(NodeId n, int copy) const;
-
-  // True if, at arc `u`'s destination, some other incoming arc provably
-  // always arrives later than `u` in the steady state (measured at the
-  // middle copies, away from start-up effects).  This is GT3's proof
-  // obligation: "the removed constraint arc is under no execution path the
-  // last to occur".
-  bool never_last(ArcId u, std::int64_t margin = 0) const;
 
   int unroll() const { return unroll_; }
 

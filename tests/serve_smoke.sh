@@ -15,24 +15,29 @@
 #   6. start a second daemon over the same cache directory and re-run the
 #      grid: every point must replay from the disk tier ("from_disk_cache"
 #      32 times in the JSON report);
-#   7. SIGTERM again, then audit the cache directory with adc_obs_check.
+#   7. SIGTERM again, then audit the cache directory with adc_obs_check;
+#   8. fill a fresh cache directory with adc_dse's GT grid, start a daemon
+#      over it and re-run adc_submit's GT grid: both tools run the same
+#      32 recipes, so every point must replay from disk.
 #
-# Usage: serve_smoke.sh ADC_SERVE ADC_SUBMIT ADC_OBS_CHECK ADC_TOP WORKDIR
+# Usage: serve_smoke.sh ADC_SERVE ADC_SUBMIT ADC_OBS_CHECK ADC_TOP ADC_DSE WORKDIR
 set -eu
 
 ADC_SERVE=$1
 ADC_SUBMIT=$2
 ADC_OBS_CHECK=$3
 ADC_TOP=$4
-WORKDIR=$5
+ADC_DSE=$5
+WORKDIR=$6
 CATALOGUE=$(dirname "$0")/data/metrics_catalogue.txt
 
 SOCK="$WORKDIR/serve_smoke.sock"
 CACHE="$WORKDIR/serve_smoke_cache"
+DSE_CACHE="$WORKDIR/serve_smoke_dse_cache"
 READY="$WORKDIR/serve_smoke_ready.json"
 ACCESS="$WORKDIR/serve_smoke_access.jsonl"
 PROCESS_TRACE="$WORKDIR/serve_smoke_process.trace.json"
-rm -rf "$CACHE" "$READY" "$SOCK" "$ACCESS" "$ACCESS.1" "$PROCESS_TRACE"
+rm -rf "$CACHE" "$DSE_CACHE" "$READY" "$SOCK" "$ACCESS" "$ACCESS.1" "$PROCESS_TRACE"
 mkdir -p "$WORKDIR"
 
 fail() {
@@ -135,5 +140,19 @@ stop_daemon
 # --- cache directory integrity ----------------------------------------------
 "$ADC_OBS_CHECK" --cache-dir "$CACHE" || fail "cache audit failed"
 
+# --- a daemon over adc_dse's cache replays adc_submit's grid ----------------
+rc=0
+"$ADC_DSE" --bench diffeq --grid gt --jobs 2 --cache-dir "$DSE_CACHE" \
+    > "$WORKDIR/serve_smoke_dse.txt" || rc=$?
+[ "$rc" -eq 4 ] || fail "adc_dse grid exited $rc (want the deadlock floor 4)"
+CACHE=$DSE_CACHE
+start_daemon
+grid_run "$WORKDIR/serve_smoke_dse_warm.json"
+warm=$(warm_count "$WORKDIR/serve_smoke_dse_warm.json")
+[ "$warm" -eq 32 ] ||
+    fail "daemon over adc_dse's cache replayed $warm/32 adc_submit points"
+stop_daemon
+
 echo "serve_smoke: ok (32-point grid cold + warm, mid-load metrics scrape," \
-     "traced job, validated access log and process trace, clean SIGTERM drains)"
+     "traced job, validated access log and process trace, clean SIGTERM drains," \
+     "adc_dse-warmed daemon replays adc_submit's grid)"

@@ -4,7 +4,7 @@
 
 #include "channel/naming.hpp"
 #include "frontend/benchmarks.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace {
@@ -37,7 +37,7 @@ TEST(Channel, ChannelOfFindsCarrier) {
 
 TEST(Channel, InputsAndOutputsOfFu) {
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   FuId mul2 = *g.find_fu("MUL2");
   auto in = res.plan.inputs_of(mul2);
   auto out = res.plan.outputs_of(mul2);
@@ -69,7 +69,7 @@ TEST(Channel, ShortNamesAbbreviateFus) {
 
 TEST(Channel, MultiwayDescribe) {
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   bool saw_multiway = false;
   for (const auto& c : res.plan.channels()) {
     if (!c.multiway()) continue;
@@ -96,7 +96,7 @@ TEST(Channel, ValidateCatchesDanglingArcs) {
 
 TEST(Channel, ArcCountAggregatesEvents) {
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   for (const auto& c : res.plan.channels()) {
     std::size_t n = 0;
     for (const auto& e : c.events) n += e.arcs.size();

@@ -9,7 +9,7 @@
 #include "ltrans/local.hpp"
 #include "runtime/flow.hpp"
 #include "sim/event_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace {
@@ -23,7 +23,7 @@ struct System {
 System build_mac() {
   System s;
   s.g = mac_reduce();
-  auto res = run_global_transforms(s.g);
+  auto res = TransformScript::parse(kPaperRecipe).run(s.g);
   s.plan = std::move(res.plan);
   for (auto& c : extract_controllers(s.g, s.plan)) {
     ControllerInstance inst;

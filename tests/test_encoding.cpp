@@ -16,7 +16,7 @@
 #include "logic/encoding.hpp"
 #include "ltrans/local.hpp"
 #include "runtime/flow.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 #include "transforms/script.hpp"
 
 namespace adc {
@@ -62,7 +62,7 @@ TEST(Encoding, CodesAlwaysUniqueAndInRange) {
 
 TEST(Encoding, DiffeqControllersMostlyDistanceOne) {
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   for (auto& c : extract_controllers(g, res.plan)) {
     run_local_transforms(c);
     auto cm = concretize(c.machine, &c.bindings);

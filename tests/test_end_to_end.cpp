@@ -13,7 +13,7 @@
 #include "sim/event_sim.hpp"
 #include "sim/golden.hpp"
 #include "sim/token_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 #include "xbm/validate.hpp"
 
 namespace adc {
@@ -26,7 +26,7 @@ TEST(EndToEnd, DiffeqFullFlow) {
   std::size_t arcs_before = g.live_arc_count();
 
   // 2. Global transforms.
-  auto gres = run_global_transforms(g);
+  auto gres = TransformScript::parse(kPaperRecipe).run(g);
   ASSERT_TRUE(validate(g).empty());
   EXPECT_LT(g.live_arc_count(), arcs_before);
   EXPECT_EQ(gres.plan.count_controller_channels(), 5u);
@@ -81,7 +81,7 @@ TEST(EndToEnd, HlsFrontEndToGateLevel) {
                                            {"U", 9},  {"Y", 2}, {"X1", 0}, {"C", 1}};
   auto gold = run_sequential(g, init);
 
-  auto gres = run_global_transforms(g);
+  auto gres = TransformScript::parse(kPaperRecipe).run(g);
   std::vector<ControllerInstance> instances;
   for (auto& c : extract_controllers(g, gres.plan)) {
     ControllerInstance inst;
@@ -104,7 +104,7 @@ TEST(EndToEnd, TokenAndEventSimulatorsAgree) {
   Cdfg g = diffeq();
   std::map<std::string, std::int64_t> init{{"X", 0}, {"a", 7}, {"dx", 1},
                                            {"U", 4},  {"Y", 2}, {"X1", 0}, {"C", 1}};
-  auto gres = run_global_transforms(g);
+  auto gres = TransformScript::parse(kPaperRecipe).run(g);
   auto token = run_token_sim(g, init);
   ASSERT_TRUE(token.completed) << token.error;
 
@@ -132,7 +132,7 @@ TEST(EndToEnd, AblationMatrixAllCorrect) {
       Cdfg g = diffeq();
       ChannelPlan plan;
       if (gt) {
-        auto res = run_global_transforms(g);
+        auto res = TransformScript::parse(kPaperRecipe).run(g);
         plan = std::move(res.plan);
       } else {
         plan = ChannelPlan::derive(g);

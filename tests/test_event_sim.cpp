@@ -12,7 +12,7 @@
 #include "sim/event_sim.hpp"
 #include "sim/golden.hpp"
 #include "sim/token_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace {
@@ -27,7 +27,7 @@ System build(Cdfg graph, bool gt, bool lt) {
   System s;
   s.g = std::move(graph);
   if (gt) {
-    auto res = run_global_transforms(s.g);
+    auto res = TransformScript::parse(kPaperRecipe).run(s.g);
     s.plan = std::move(res.plan);
   } else {
     s.plan = ChannelPlan::derive(s.g);

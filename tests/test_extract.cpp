@@ -6,7 +6,7 @@
 
 #include "extract/extract.hpp"
 #include "frontend/benchmarks.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 #include "xbm/print.hpp"
 #include "xbm/validate.hpp"
 
@@ -32,7 +32,7 @@ TEST(Extract, AllControllersValidate) {
 TEST(Extract, OptimizedControllersValidate) {
   for (auto make : {diffeq, gcd, fir4, mac_reduce, ewf_lite}) {
     Cdfg g = make();
-    auto res = run_global_transforms(g);
+    auto res = TransformScript::parse(kPaperRecipe).run(g);
     for (auto& c : extract_controllers(g, res.plan))
       EXPECT_TRUE(validate(c.machine).empty()) << g.name() << "/" << c.machine.name();
   }
@@ -60,7 +60,7 @@ TEST(Extract, GtReducesAlu2Controller) {
   auto before = extract_controllers(g0, plan0);
 
   Cdfg g1 = diffeq();
-  auto res = run_global_transforms(g1);
+  auto res = TransformScript::parse(kPaperRecipe).run(g1);
   auto after = extract_controllers(g1, res.plan);
 
   EXPECT_LT(by_name(after, g1, "ALU2").machine.state_count(),
@@ -117,7 +117,7 @@ TEST(Extract, MultiOpUnitsGetOpSelects) {
 
 TEST(Extract, LoopControllerHasIdleAndConditionals) {
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   auto cs = extract_controllers(g, res.plan);
   const auto& alu2 = by_name(cs, g, "ALU2");
   ASSERT_TRUE(alu2.machine.find_signal("c_C").has_value());
@@ -136,7 +136,7 @@ TEST(Extract, BackwardArcWaitsAtRingTail) {
   // Post-GT MUL2 waits the ALU1 multi-way wire (both events) at the end of
   // its cycle: pre-enabled on the first iteration.
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   auto cs = extract_controllers(g, res.plan);
   const auto& mul2 = by_name(cs, g, "MUL2");
   std::string text = to_text(mul2.machine);

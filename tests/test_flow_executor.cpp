@@ -1,7 +1,7 @@
 // Flow-executor tests: parallel evaluation must be scheduling-independent
 // (identical metrics to a serial run), stages must be timed and cached,
 // errors must surface as failed points, and the CLI-facing helpers
-// (builtin registry, ablation grid, script_for, JSON) must hold their
+// (builtin registry, ablation grid, JSON, exit codes) must hold their
 // contracts.
 
 #include "runtime/flow.hpp"
@@ -146,25 +146,28 @@ TEST(FlowHelpers, GtAblationGridHas32UniqueRecipes) {
   EXPECT_EQ(nolt.back(), "gt1; gt2; gt3; gt4; gt2; gt5");
 }
 
-TEST(FlowHelpers, ScriptForMirrorsThePipelineOrder) {
-  GlobalPipelineOptions all;
-  EXPECT_EQ(script_for(all, true, true), "gt1; gt2; gt3; gt4; gt2; gt5; lt");
-  EXPECT_EQ(script_for(all, false, false), "");
-  GlobalPipelineOptions no_gt3 = all;
-  no_gt3.gt3 = false;
-  EXPECT_EQ(script_for(no_gt3, true, false), "gt1; gt2; gt4; gt2; gt5");
-  GlobalPipelineOptions tuned;
-  tuned.gt5_options.same_source = Gt5Options::SameSource::kAll;
-  tuned.gt5_options.concurrency_reduction = true;
-  tuned.gt5_options.max_period_increase = 200;
-  LocalTransformOptions lo;
-  lo.lt5_signal_sharing = false;
-  EXPECT_EQ(script_for(tuned, true, true, lo),
-            "gt1; gt2; gt3; gt4; gt2; gt5(broadcast=all, maxperiod=200); "
-            "lt(no_sharing)");
-  // Every rendering must be parseable and normalize to itself.
-  auto s = script_for(tuned, true, true, lo);
-  EXPECT_EQ(TransformScript::parse(s).to_string(), s);
+TEST(FlowHelpers, GridEndsAtThePaperRecipe) {
+  EXPECT_EQ(gt_ablation_grid(true).back(), kPaperRecipe);
+  EXPECT_EQ(gt_ablation_grid(false).back() + "; lt", kPaperRecipe);
+  // A tuned recipe parses and normalizes to itself.
+  const std::string tuned =
+      "gt1; gt2; gt3; gt4; gt2; gt5(broadcast=all, maxperiod=200); lt(no_sharing)";
+  EXPECT_EQ(TransformScript::parse(tuned).to_string(), tuned);
+}
+
+TEST(FlowHelpers, StatusNamesAndBatchExitCodes) {
+  using S = FlowStatus;
+  for (S s : {S::kOk, S::kDeadlock, S::kTimeout, S::kCancelled, S::kFault, S::kError})
+    EXPECT_EQ(parse_flow_status(to_string(s)), s);
+  EXPECT_EQ(parse_flow_status("wrong_result"), std::nullopt);
+  // The worst status wins: 6 fault/error > 5 timeout/cancelled > 4 deadlock.
+  EXPECT_EQ(batch_exit_code({}), 0);
+  EXPECT_EQ(batch_exit_code({S::kOk, S::kOk}), 0);
+  EXPECT_EQ(batch_exit_code({S::kOk, S::kDeadlock}), 4);
+  EXPECT_EQ(batch_exit_code({S::kDeadlock, S::kCancelled}), 5);
+  EXPECT_EQ(batch_exit_code({S::kTimeout, S::kDeadlock}), 5);
+  EXPECT_EQ(batch_exit_code({S::kError, S::kTimeout}), 6);
+  EXPECT_EQ(batch_exit_code({S::kFault, S::kDeadlock}), 6);
 }
 
 TEST(FlowHelpers, BuiltinRegistry) {

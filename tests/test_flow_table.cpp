@@ -7,7 +7,7 @@
 #include "frontend/benchmarks.hpp"
 #include "logic/flow_table.hpp"
 #include "ltrans/local.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace {
@@ -116,7 +116,7 @@ TEST(FlowTable, ConditionalsPinTransitionCubes) {
 
 TEST(FlowTable, DiffeqControllersConcretize) {
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   for (auto& c : extract_controllers(g, res.plan)) {
     run_local_transforms(c);
     auto cm = concretize(c.machine, &c.bindings);
@@ -131,7 +131,7 @@ TEST(FlowTable, BindingsTightenConditionalTracking) {
   // With bindings the ALU2 controller knows when C is stable, producing
   // fewer or equal concrete states and more pinned condition literals.
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   for (auto& c : extract_controllers(g, res.plan)) {
     if (g.fu(c.fu).name != "ALU2") continue;
     run_local_transforms(c);

@@ -9,7 +9,7 @@
 #include "sim/token_sim.hpp"
 #include "transforms/global.hpp"
 #include "transforms/gt5.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace {
@@ -215,11 +215,8 @@ TEST(Gt5, SymmetrizationFigure9Mechanics) {
 TEST(Gt5, PlanValidatesOnAllBenchmarks) {
   for (auto make : {diffeq, gcd, fir4, mac_reduce, ewf_lite}) {
     Cdfg g = make();
-    run_global_transforms(g);
-    // run_global_transforms returns the plan; re-run to keep both.
-    Cdfg h = make();
-    auto res = run_global_transforms(h);
-    EXPECT_TRUE(res.plan.validate(h).empty()) << h.name();
+    auto res = TransformScript::parse(kPaperRecipe).run(g);
+    EXPECT_TRUE(res.plan.validate(g).empty()) << g.name();
   }
 }
 

@@ -24,7 +24,7 @@
 #include "ltrans/local.hpp"
 #include "runtime/flow.hpp"
 #include "runtime/thread_pool.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace {
@@ -126,7 +126,7 @@ TEST(LogicGolden, FullLibraryMatchesSeedCounts) {
 // product, not just in the counts.
 TEST(LogicGolden, SerialParallelAndMemoizedCoversAreIdentical) {
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   auto controllers = extract_controllers(g, res.plan);
   for (auto& c : controllers) run_local_transforms(c);
 

@@ -7,7 +7,7 @@
 #include "extract/extract.hpp"
 #include "frontend/benchmarks.hpp"
 #include "ltrans/local.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 #include "xbm/print.hpp"
 #include "xbm/validate.hpp"
 
@@ -23,7 +23,7 @@ struct System {
 System diffeq_gt() {
   System s;
   s.g = diffeq();
-  auto res = run_global_transforms(s.g);
+  auto res = TransformScript::parse(kPaperRecipe).run(s.g);
   s.plan = std::move(res.plan);
   s.controllers = extract_controllers(s.g, s.plan);
   return s;
@@ -55,7 +55,7 @@ TEST(Ltrans, Figure12OptimizedGtAndLtCounts) {
 TEST(Ltrans, EveryStageKeepsMachinesValid) {
   for (auto make : {diffeq, gcd, fir4, mac_reduce, ewf_lite}) {
     Cdfg g = make();
-    auto res = run_global_transforms(g);
+    auto res = TransformScript::parse(kPaperRecipe).run(g);
     for (auto& c : extract_controllers(g, res.plan)) {
       EXPECT_NO_THROW(run_local_transforms(c)) << g.name() << "/" << c.machine.name();
       EXPECT_TRUE(validate(c.machine).empty()) << g.name() << "/" << c.machine.name();

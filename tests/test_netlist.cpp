@@ -7,13 +7,13 @@
 #include "frontend/benchmarks.hpp"
 #include "logic/netlist.hpp"
 #include "ltrans/local.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace {
 
 std::vector<ExtractedController> optimized(Cdfg& g) {
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   auto cs = extract_controllers(g, res.plan);
   for (auto& c : cs) run_local_transforms(c);
   return cs;

@@ -6,7 +6,7 @@
 #include "cdfg/validate.hpp"
 #include "frontend/benchmarks.hpp"
 #include "sim/token_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace {
@@ -16,14 +16,14 @@ TEST(GlobalPipeline, DiffeqChannelReductionSeventeenToFive) {
   auto unopt = ChannelPlan::derive(g);
   EXPECT_EQ(unopt.count_all_channels(), 17u) << "paper Figure 12, unoptimized";
 
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   EXPECT_EQ(res.plan.count_controller_channels(), 5u) << "paper Figure 12, optimized-GT";
   EXPECT_TRUE(validate(g).empty());
 }
 
 TEST(GlobalPipeline, StagesRunInOrder) {
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   ASSERT_EQ(res.stages.size(), 6u);
   EXPECT_NE(res.stages[0].name.find("GT1"), std::string::npos);
   EXPECT_NE(res.stages[1].name.find("GT2"), std::string::npos);
@@ -34,10 +34,7 @@ TEST(GlobalPipeline, StagesRunInOrder) {
 
 TEST(GlobalPipeline, AblationWithoutGt1KeepsEndloopSync) {
   Cdfg g = diffeq();
-  GlobalPipelineOptions opts;
-  opts.gt1 = false;
-  auto res = run_global_transforms(g, opts);
-  (void)res;
+  TransformScript::parse("gt2; gt3; gt4; gt2; gt5").run(g);
   // Some barrier arc into ENDLOOP from another unit survives, and with it
   // the full synchronization: iterations can never overlap.
   NodeId endloop = *g.find_unique(NodeKind::kEndLoop);
@@ -55,9 +52,7 @@ TEST(GlobalPipeline, AblationWithoutGt1KeepsEndloopSync) {
 
 TEST(GlobalPipeline, AblationWithoutGt5KeepsOneWirePerArc) {
   Cdfg g = diffeq();
-  GlobalPipelineOptions opts;
-  opts.gt5 = false;
-  auto res = run_global_transforms(g, opts);
+  auto res = TransformScript::parse("gt1; gt2; gt3; gt4; gt2").run(g);
   EXPECT_EQ(res.plan.count_controller_channels(), 10u);
   EXPECT_EQ(res.plan.count_multiway(), 0u);
 }
@@ -66,15 +61,12 @@ TEST(GlobalPipeline, EveryStagePreservesSemantics) {
   std::map<std::string, std::int64_t> init{{"X", 0}, {"a", 11}, {"dx", 1},
                                            {"U", 2},  {"Y", 1}, {"X1", 0}, {"C", 1}};
   auto gold = run_sequential(diffeq(), init);
+  // The paper's recipe cut after each of its transforms.
+  const char* prefixes[] = {"gt1", "gt1; gt2", "gt1; gt2; gt3", "gt1; gt2; gt3; gt4; gt2",
+                            "gt1; gt2; gt3; gt4; gt2; gt5"};
   for (int stage = 0; stage < 5; ++stage) {
     Cdfg g = diffeq();
-    GlobalPipelineOptions opts;
-    opts.gt1 = stage >= 0;
-    opts.gt2 = stage >= 1;
-    opts.gt3 = stage >= 2;
-    opts.gt4 = stage >= 3;
-    opts.gt5 = stage >= 4;
-    run_global_transforms(g, opts);
+    TransformScript::parse(prefixes[stage]).run(g);
     for (unsigned seed = 1; seed <= 5; ++seed) {
       TokenSimOptions o;
       o.seed = seed;
@@ -104,7 +96,7 @@ TEST(GlobalPipeline, AllBenchmarksStayValidAndCorrect) {
     Cdfg ref = c.make();
     auto gold = run_sequential(ref, c.init);
     Cdfg g = c.make();
-    auto res = run_global_transforms(g);
+    auto res = TransformScript::parse(kPaperRecipe).run(g);
     EXPECT_TRUE(validate(g).empty()) << g.name();
     EXPECT_TRUE(res.plan.validate(g).empty()) << g.name();
     for (unsigned seed = 1; seed <= 5; ++seed) {
@@ -121,14 +113,14 @@ TEST(GlobalPipeline, ChannelCountsNeverIncrease) {
   for (auto make : {diffeq, gcd, fir4, mac_reduce, ewf_lite}) {
     Cdfg g = make();
     std::size_t before = ChannelPlan::derive(g).count_controller_channels();
-    auto res = run_global_transforms(g);
+    auto res = TransformScript::parse(kPaperRecipe).run(g);
     EXPECT_LE(res.plan.count_controller_channels(), before) << g.name();
   }
 }
 
 TEST(GlobalPipeline, TotalsAggregateAcrossStages) {
   Cdfg g = diffeq();
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   EXPECT_GT(res.total_arcs_removed(), 0);
   EXPECT_GT(res.total_arcs_added(), 0);
 }

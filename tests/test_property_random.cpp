@@ -9,7 +9,8 @@
 #include "frontend/benchmarks.hpp"
 #include "ltrans/local.hpp"
 #include "sim/token_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/global.hpp"
+#include "transforms/script.hpp"
 #include "xbm/validate.hpp"
 
 namespace adc {
@@ -44,7 +45,7 @@ TEST_P(RandomPrograms, GlobalPipelinePreservesSemantics) {
     auto init = random_init(p);
     auto gold = run_sequential(g, init);
 
-    auto res = run_global_transforms(g);
+    auto res = TransformScript::parse(kPaperRecipe).run(g);
     EXPECT_TRUE(validate(g).empty()) << "seed " << seed;
     EXPECT_TRUE(res.plan.validate(g).empty()) << "seed " << seed;
 
@@ -67,7 +68,7 @@ TEST_P(RandomPrograms, ExtractionAndLtStayValid) {
   p.with_loop = shape.loop;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     Cdfg g = random_program(p, seed);
-    auto res = run_global_transforms(g);
+    auto res = TransformScript::parse(kPaperRecipe).run(g);
     for (auto& c : extract_controllers(g, res.plan)) {
       ASSERT_TRUE(validate(c.machine).empty())
           << "seed " << seed << " " << c.machine.name();
@@ -113,7 +114,7 @@ TEST(PropertyRandom, WireDisciplineHoldsAfterFullPipeline) {
   p.stmts = 12;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     Cdfg g = random_program(p, seed);
-    run_global_transforms(g);
+    TransformScript::parse(kPaperRecipe).run(g);
     auto init = random_init(p);
     for (std::uint64_t s = 1; s <= 3; ++s) {
       TokenSimOptions o;
@@ -130,7 +131,7 @@ TEST(PropertyRandom, OverlapNeverExceedsTwoIterations) {
   RandomProgramParams p;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     Cdfg g = random_program(p, seed);
-    run_global_transforms(g);
+    TransformScript::parse(kPaperRecipe).run(g);
     auto init = random_init(p);
     init["n"] = 8;
     TokenSimOptions o;
@@ -149,9 +150,8 @@ TEST(PropertyRandom, TransformsOnlyRemoveInterControllerArcs) {
     std::size_t intra_before = 0;
     for (ArcId a : g.arc_ids())
       if (g.node(g.arc(a).src).fu == g.node(g.arc(a).dst).fu) ++intra_before;
-    GlobalPipelineOptions opts;
-    opts.gt4 = false;  // merging legitimately rewrites intra arcs
-    run_global_transforms(g, opts);
+    // No gt4: merging legitimately rewrites intra arcs.
+    TransformScript::parse("gt1; gt2; gt3; gt5").run(g);
     std::size_t intra_after = 0;
     for (ArcId a : g.arc_ids())
       if (g.node(g.arc(a).src).fu == g.node(g.arc(a).dst).fu) ++intra_after;

@@ -8,7 +8,7 @@
 #include "sched/dfg.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/token_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace {
@@ -124,7 +124,7 @@ TEST(Sched, GeneratedCdfgSurvivesTheFullPipeline) {
   std::map<std::string, std::int64_t> init{{"X", 0}, {"a", 6}, {"dx", 1},
                                            {"U", 9},  {"Y", 2}, {"X1", 0}, {"C", 1}};
   auto gold = run_sequential(g, init);
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   (void)res;
   auto r = run_token_sim(g, init);
   EXPECT_TRUE(r.completed) << r.error;
@@ -211,7 +211,7 @@ TEST(Sched, EwfFullPipelineCorrect) {
       {"sv7", 7}, {"sv8", 8}};
   Cdfg g = ewf();
   auto gold = run_sequential(g, init);
-  auto res = run_global_transforms(g);
+  auto res = TransformScript::parse(kPaperRecipe).run(g);
   (void)res;
   for (unsigned seed = 1; seed <= 4; ++seed) {
     TokenSimOptions o;

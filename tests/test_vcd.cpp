@@ -15,7 +15,7 @@
 #include "frontend/benchmarks.hpp"
 #include "ltrans/local.hpp"
 #include "sim/event_sim.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace {
@@ -140,7 +140,7 @@ TEST(VcdWriter, CodesStayUniquePast94Vars) {
 
 TEST(VcdSim, DiffeqWaveformShowsEveryChannelHandshake) {
   Cdfg g = diffeq();
-  auto gres = run_global_transforms(g);
+  auto gres = TransformScript::parse(kPaperRecipe).run(g);
   std::vector<ControllerInstance> instances;
   for (auto& c : extract_controllers(g, gres.plan)) {
     ControllerInstance inst;
@@ -206,7 +206,7 @@ TEST(VcdSim, DeadlockedRunStillWritesTheStall) {
   // answer — the VCD must still be writable and show the requests that got
   // stuck high with no response.
   Cdfg g = diffeq();
-  auto gres = run_global_transforms(g);
+  auto gres = TransformScript::parse(kPaperRecipe).run(g);
   std::vector<ControllerInstance> instances;
   for (auto& c : extract_controllers(g, gres.plan)) {
     ControllerInstance inst;

@@ -6,7 +6,7 @@
 #include "extract/extract.hpp"
 #include "frontend/benchmarks.hpp"
 #include "ltrans/local.hpp"
-#include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 #include "xbm/parse.hpp"
 #include "xbm/print.hpp"
 #include "xbm/validate.hpp"
@@ -32,7 +32,7 @@ s0 s0 <c-> req~ /
 TEST(XbmParse, RoundTripsEveryExtractedController) {
   for (auto make : {diffeq, gcd, fir4, mac_reduce}) {
     Cdfg g = make();
-    auto res = run_global_transforms(g);
+    auto res = TransformScript::parse(kPaperRecipe).run(g);
     for (auto& c : extract_controllers(g, res.plan)) {
       run_local_transforms(c);
       std::string text = to_text(c.machine);

@@ -72,6 +72,7 @@
 // frontier is still evaluated, written and summarized in an explicit
 // coverage ledger.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -310,10 +311,8 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("unknown grid '" + grid + "'");
       for (auto& s : gt_ablation_grid(grid == "gt")) recipes.push_back(s);
     }
-    if (recipes.empty()) {
-      // A small default surface: nothing, GT only, the paper's full recipe.
-      recipes = {"", "gt1; gt2; gt3; gt4; gt2; gt5", "gt1; gt2; gt3; gt4; gt2; gt5; lt"};
-    }
+    // A small default surface: nothing, GT only, the paper's full recipe.
+    if (recipes.empty()) recipes = {"", gt_ablation_grid(false).back(), kPaperRecipe};
     if (bench_names.empty() && files.empty()) bench_names.push_back("diffeq");
 
     // The explainability paths all need the attribution segments and the
@@ -414,18 +413,11 @@ int main(int argc, char** argv) {
                        .count();
 
     // Coverage ledger: every point accounted for by terminal status.
-    std::size_t n_ok = 0, n_deadlock = 0, n_timeout = 0, n_cancelled = 0,
-                n_fault = 0, n_error = 0;
-    for (const auto& p : points) {
-      switch (p.status) {
-        case FlowStatus::kOk: ++n_ok; break;
-        case FlowStatus::kDeadlock: ++n_deadlock; break;
-        case FlowStatus::kTimeout: ++n_timeout; break;
-        case FlowStatus::kCancelled: ++n_cancelled; break;
-        case FlowStatus::kFault: ++n_fault; break;
-        case FlowStatus::kError: ++n_error; break;
-      }
-    }
+    std::vector<FlowStatus> statuses;
+    for (const auto& p : points) statuses.push_back(p.status);
+    auto count = [&](FlowStatus s) {
+      return static_cast<std::size_t>(std::count(statuses.begin(), statuses.end(), s));
+    };
 
     // Per-point artifacts: a provenance log per evaluated point, and for
     // points whose simulation deadlocked a waveform of the stall — the
@@ -528,8 +520,10 @@ int main(int argc, char** argv) {
       std::printf(
           "coverage: %zu ok, %zu deadlock, %zu timeout, %zu fault, %zu error, "
           "%zu cancelled; %zu point(s) retried (%zu attempt(s))\n",
-          n_ok, n_deadlock, n_timeout, n_fault, n_error, n_cancelled,
-          retried_points, retry_attempts);
+          count(FlowStatus::kOk), count(FlowStatus::kDeadlock),
+          count(FlowStatus::kTimeout), count(FlowStatus::kFault),
+          count(FlowStatus::kError), count(FlowStatus::kCancelled), retried_points,
+          retry_attempts);
       if (const DiskCache* dc = exec.disk_cache()) {
         DiskCache::Stats ds = dc->stats();
         std::printf(
@@ -573,12 +567,9 @@ int main(int argc, char** argv) {
       w.key("coverage");
       w.begin_object();
       w.kv("total", static_cast<std::uint64_t>(points.size()));
-      w.kv("ok", static_cast<std::uint64_t>(n_ok));
-      w.kv("deadlock", static_cast<std::uint64_t>(n_deadlock));
-      w.kv("timeout", static_cast<std::uint64_t>(n_timeout));
-      w.kv("fault", static_cast<std::uint64_t>(n_fault));
-      w.kv("error", static_cast<std::uint64_t>(n_error));
-      w.kv("cancelled", static_cast<std::uint64_t>(n_cancelled));
+      for (FlowStatus st : {FlowStatus::kOk, FlowStatus::kDeadlock, FlowStatus::kTimeout,
+                            FlowStatus::kFault, FlowStatus::kError, FlowStatus::kCancelled})
+        w.kv(to_string(st), static_cast<std::uint64_t>(count(st)));
       w.kv("retried", static_cast<std::uint64_t>(retried_points));
       w.kv("retry_attempts", static_cast<std::uint64_t>(retry_attempts));
       w.end_object();
@@ -642,14 +633,8 @@ int main(int argc, char** argv) {
                      p.script.c_str(), p.deadlocked ? "DEADLOCK: " : "",
                      p.error.c_str());
     }
-    // Worst surviving outcome wins: a verify mismatch trumps everything,
-    // then fault/error, then timeout/cancelled, then deadlock.
-    if (rc == 0) {
-      if (n_fault || n_error) rc = 6;
-      else if (n_timeout || n_cancelled) rc = 5;
-      else if (n_deadlock) rc = 4;
-    }
-    return rc;
+    // Worst surviving outcome wins; a verify mismatch trumps every status.
+    return rc ? rc : batch_exit_code(statuses);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "adc_dse: %s\n", e.what());
     return 1;

@@ -37,6 +37,7 @@
 // Exit codes mirror adc_dse (worst job outcome wins): 0 ok, 4 deadlock,
 // 5 timeout/cancelled, 6 fault/error, 2 usage, 1 transport/internal.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -47,6 +48,7 @@
 #include "report/json.hpp"
 #include "report/json_parse.hpp"
 #include "report/table.hpp"
+#include "runtime/flow.hpp"
 #include "serve/client.hpp"
 #include "trace/log.hpp"
 
@@ -189,26 +191,13 @@ int main(int argc, char** argv) {
     }
 
     // Job plane: assemble the recipe grid, submit everything, then wait.
+    // The grid is adc_dse's, so both tools address the same cache entries.
     if (!grid.empty()) {
       if (grid != "gt" && grid != "gt-nolt")
         throw std::invalid_argument("unknown grid '" + grid + "'");
-      bool with_lt = grid == "gt";
-      // Mirrors runtime's gt_ablation_grid without linking the runtime:
-      // every on/off combination of gt1..gt5 in the paper's step order.
-      for (unsigned mask = 0; mask < 32; ++mask) {
-        std::string s;
-        const char* steps[] = {"gt1", "gt2", "gt3", "gt4", "gt5"};
-        for (unsigned b = 0; b < 5; ++b) {
-          if (!(mask & (1u << b))) continue;
-          if (!s.empty()) s += "; ";
-          s += steps[b];
-        }
-        if (with_lt) s += s.empty() ? "lt" : "; lt";
-        recipes.push_back(s);
-      }
+      for (auto& s : gt_ablation_grid(grid == "gt")) recipes.push_back(s);
     }
-    if (recipes.empty())
-      recipes = {"", "gt1; gt2; gt3; gt4; gt2; gt5", "gt1; gt2; gt3; gt4; gt2; gt5; lt"};
+    if (recipes.empty()) recipes = {"", gt_ablation_grid(false).back(), kPaperRecipe};
     if (bench_names.empty()) bench_names.push_back("diffeq");
 
     struct Submitted {
@@ -233,17 +222,18 @@ int main(int argc, char** argv) {
       }
     }
 
-    std::size_t n_ok = 0, n_deadlock = 0, n_timeout_cancel = 0, n_fail = 0;
+    // A reply without a known status counts as an error.
     std::vector<JsonValue> points;
+    std::vector<FlowStatus> statuses;
     points.reserve(jobs.size());
     for (const auto& job : jobs) {
       points.push_back(client.wait_result(job.id));
-      const std::string status = member_string(points.back(), "status");
-      if (status == "ok") ++n_ok;
-      else if (status == "deadlock") ++n_deadlock;
-      else if (status == "timeout" || status == "cancelled") ++n_timeout_cancel;
-      else ++n_fail;
+      statuses.push_back(parse_flow_status(member_string(points.back(), "status"))
+                             .value_or(FlowStatus::kError));
     }
+    auto count = [&](FlowStatus s) {
+      return static_cast<std::size_t>(std::count(statuses.begin(), statuses.end(), s));
+    };
 
     // Every job is terminal, so its span tree is complete: fetch each one
     // from the daemon and merge the event lists into a single document —
@@ -298,7 +288,9 @@ int main(int argc, char** argv) {
       std::printf("%s", t.to_string().c_str());
       std::printf("\n%zu jobs: %zu ok, %zu deadlock, %zu timeout/cancelled, "
                   "%zu failed\n",
-                  jobs.size(), n_ok, n_deadlock, n_timeout_cancel, n_fail);
+                  jobs.size(), count(FlowStatus::kOk), count(FlowStatus::kDeadlock),
+                  count(FlowStatus::kTimeout) + count(FlowStatus::kCancelled),
+                  count(FlowStatus::kFault) + count(FlowStatus::kError));
     } else {
       JsonWriter w(true);
       w.begin_object();
@@ -320,10 +312,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (n_fail) return 6;
-    if (n_timeout_cancel) return 5;
-    if (n_deadlock) return 4;
-    return 0;
+    return batch_exit_code(statuses);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "adc_submit: %s\n", e.what());
     return 1;

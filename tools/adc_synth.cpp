@@ -9,7 +9,8 @@
 //
 // Options:
 //   --script "gt1; gt2; ..."   transformation script (default: the paper's
-//                              full recipe "gt1; gt2; gt3; gt4; gt2; gt5; lt")
+//                              full recipe, kPaperRecipe in
+//                              transforms/script.hpp)
 //   --bench NAME               builtin benchmark (diffeq, gcd, fir4,
 //                              mac_reduce, ewf_lite, ewf) with its bundled
 //                              register file; implies simulation
@@ -117,20 +118,22 @@ int exit_code_for(const FlowPoint& p) {
   return 1;
 }
 
+// Writes `text` to `path` ('-' = stdout); a failed write throws, naming
+// the path.
 void write_file(const std::string& path, const std::string& text) {
   if (path == "-") {
-    std::printf("%s\n", text.c_str());
+    std::fputs(text.c_str(), stdout);
     return;
   }
   std::ofstream out(path);
-  out << text << "\n";
+  out << text;
   if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string script_text = "gt1; gt2; gt3; gt4; gt2; gt5; lt";
+  std::string script_text = kPaperRecipe;
   std::string bench_name;
   std::string out_dir = ".";
   std::string input_file;
@@ -303,15 +306,15 @@ int main(int argc, char** argv) {
                  std::to_string(m.products), std::to_string(m.literals),
                  m.feasible ? "yes" : "NO"});
       std::string base = out_dir + "/" + g.name() + "_" + m.name;
-      if (emit.count("bms")) std::ofstream(base + ".bms") << to_text(inst.controller.machine);
+      if (emit.count("bms")) write_file(base + ".bms", to_text(inst.controller.machine));
       if (need_logic) {
         auto logic = synthesize_logic(inst.controller);
         if (emit.count("verilog"))
-          std::ofstream(base + ".v") << to_verilog(logic, g.name() + "_" + m.name);
-        if (emit.count("eqn")) std::ofstream(base + ".eqn") << to_equations(logic);
+          write_file(base + ".v", to_verilog(logic, g.name() + "_" + m.name));
+        if (emit.count("eqn")) write_file(base + ".eqn", to_equations(logic));
       }
     }
-    if (emit.count("dot")) std::ofstream(out_dir + "/" + g.name() + ".dot") << to_dot(g);
+    if (emit.count("dot")) write_file(out_dir + "/" + g.name() + ".dot", to_dot(g));
     if (report) std::fprintf(log, "%s", t.to_string().c_str());
 
     if (req.simulate) {
@@ -359,7 +362,7 @@ int main(int argc, char** argv) {
     }
     if (!prov_path.empty() && p.provenance) {
       unregister_artifact_flush(prov_token);
-      write_file(prov_path, p.provenance->to_json());
+      write_file(prov_path, p.provenance->to_json() + "\n");
       if (prov_path != "-") artifact_paths.emplace_back("provenance", prov_path);
       std::fprintf(log, "%s", p.provenance->summary().c_str());
     }
@@ -396,7 +399,7 @@ int main(int argc, char** argv) {
         w.end_object();
       }
       w.end_object();
-      write_file(json_path, w.str());
+      write_file(json_path, w.str() + "\n");
     }
     return exit_code_for(p);
   } catch (const std::exception& e) {
