@@ -144,7 +144,8 @@ struct MeasureShared {
 }  // namespace
 
 std::vector<BenchRecord> measure_group(const std::vector<Benchmark>& group,
-                                       const MeasureOptions& opts) {
+                                       const MeasureOptions& opts,
+                                       std::vector<std::vector<double>>* wall_samples) {
   const unsigned repeats = std::max(1u, opts.repeats);
   auto sh = std::make_shared<MeasureShared>();
   sh->ctx.resize(group.size());
@@ -195,6 +196,10 @@ std::vector<BenchRecord> measure_group(const std::vector<Benchmark>& group,
   if (finished) worker.join();
   else worker.detach();
 
+  if (wall_samples) {
+    wall_samples->clear();
+    if (finished && !sh->failed) *wall_samples = sh->wall;
+  }
   std::vector<BenchRecord> recs(group.size());
   for (std::size_t k = 0; k < group.size(); ++k) {
     BenchRecord& rec = recs[k];

@@ -102,9 +102,13 @@ struct MeasureOptions {
 // then lands on both sides of the ratio equally rather than on whichever
 // benchmark happens to run later, which is worth several percent of
 // systematic skew on a busy 1-core container.  opts.deadline_ms bounds the
-// whole group; a timeout or exception marks every record of it.
+// whole group; a timeout or exception marks every record of it.  When
+// `wall_samples` is given and the group completed, it receives each
+// benchmark's timed wall samples (microseconds) untrimmed and in round
+// order, so sample i of every benchmark comes from the same round.
 std::vector<BenchRecord> measure_group(const std::vector<Benchmark>& group,
-                                       const MeasureOptions& opts);
+                                       const MeasureOptions& opts,
+                                       std::vector<std::vector<double>>* wall_samples = nullptr);
 
 // measure_group of one benchmark.
 BenchRecord measure(const Benchmark& b, const MeasureOptions& opts);

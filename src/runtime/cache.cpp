@@ -7,7 +7,7 @@ std::pair<bool, std::shared_future<StageCache::Any>> StageCache::lookup_or_claim
   std::unique_lock<std::mutex> lk(mu_);
   auto it = slots_.find(key);
   if (it != slots_.end()) {
-    it->second.lru = ++tick_;
+    if (it->second.ready) lru_.splice(lru_.end(), lru_, it->second.lru);
     (it->second.ready ? hits_ : joins_).fetch_add(1, std::memory_order_relaxed);
     std::shared_future<Any> fut = it->second.future;
     lk.unlock();
@@ -16,7 +16,6 @@ std::pair<bool, std::shared_future<StageCache::Any>> StageCache::lookup_or_claim
   misses_.fetch_add(1, std::memory_order_relaxed);
   Slot slot;
   slot.future = slot.promise.get_future().share();
-  slot.lru = ++tick_;
   slots_.emplace(key, std::move(slot));
   return {false, {}};
 }
@@ -27,6 +26,7 @@ void StageCache::fulfill(const Fingerprint& key, Any value, std::size_t bytes) {
   if (it == slots_.end()) return;  // evicted/cleared mid-compute; drop
   it->second.promise.set_value(std::move(value));
   it->second.ready = true;
+  it->second.lru = lru_.insert(lru_.end(), key);
   it->second.bytes = bytes;
   bytes_ += bytes;
   evict_locked();
@@ -42,13 +42,10 @@ void StageCache::abandon(const Fingerprint& key, std::exception_ptr err) {
 }
 
 void StageCache::evict_locked() {
-  while (slots_.size() > capacity_) {
-    auto victim = slots_.end();
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (!it->second.ready) continue;  // never evict in-flight work
-      if (victim == slots_.end() || it->second.lru < victim->second.lru) victim = it;
-    }
-    if (victim == slots_.end()) return;
+  // Only ready entries are on lru_, so in-flight work is never a victim.
+  while (slots_.size() > capacity_ && !lru_.empty()) {
+    auto victim = slots_.find(lru_.front());
+    lru_.pop_front();
     bytes_ -= victim->second.bytes;
     slots_.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -76,6 +73,7 @@ void StageCache::clear() {
   for (auto it = slots_.begin(); it != slots_.end();) {
     if (it->second.ready) {
       bytes_ -= it->second.bytes;
+      lru_.erase(it->second.lru);
       it = slots_.erase(it);
     } else {
       ++it;

@@ -13,21 +13,29 @@
 // first caller computes inline on its own thread; concurrent callers with
 // the same key block on the shared future (the producer is running on a
 // live thread, never parked in a pool queue, so this cannot deadlock).
-// A compute that throws is erased so later callers retry.
+// A compute that throws is erased so later callers retry.  A joined
+// waiter rethrows the producer's exception, except a CancelledError: that
+// is the producer's own token (its deadline, its abort), not the
+// waiter's, so the waiter claims the key again and computes under its own
+// token instead of reporting a timeout it never had.
 //
 // Values are immutable once inserted (shared_ptr<const T>); consumers that
 // need a mutable copy clone.  Eviction is LRU over *ready* entries, bounded
-// by entry count.
+// by entry count: ready entries sit on a recency list (a hit moves its
+// entry to the back, the front is evicted), and in-flight entries are not
+// on it, so they are never evicted.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
+#include "runtime/cancel.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/fingerprint.hpp"
 
@@ -58,9 +66,14 @@ class StageCache {
       misses_.fetch_add(1, std::memory_order_relaxed);
       return std::make_shared<const T>(compute());
     }
-    auto erased = lookup_or_claim(key);
-    if (erased.first) {  // someone else owns / owned it
-      return std::static_pointer_cast<const T>(erased.second.get());
+    for (;;) {
+      auto [joined, future] = lookup_or_claim(key);
+      if (!joined) break;  // claimed: compute below
+      try {
+        return std::static_pointer_cast<const T>(future.get());
+      } catch (const CancelledError&) {
+        // The producer's token tripped, not ours: claim the key again.
+      }
     }
     try {
       // Injection site: a compute that dies after claiming the slot must
@@ -92,14 +105,14 @@ class StageCache {
     std::promise<Any> promise;
     std::shared_future<Any> future;
     bool ready = false;
-    std::uint64_t lru = 0;
+    std::list<Fingerprint>::iterator lru;  // position in lru_ once ready
     std::size_t bytes = 0;
   };
 
   std::size_t capacity_;
   mutable std::mutex mu_;
   std::map<Fingerprint, Slot> slots_;
-  std::uint64_t tick_ = 0;
+  std::list<Fingerprint> lru_;  // ready entries, least recently used first
   std::uint64_t bytes_ = 0;  // guarded by mu_
   std::atomic<std::uint64_t> hits_{0}, joins_{0}, misses_{0}, evictions_{0};
 };

@@ -97,7 +97,47 @@ DiskCache::DiskCache(std::string dir, std::uint64_t max_bytes)
   if (dir_.empty()) return;
   std::error_code ec;
   fs::create_directories(dir_, ec);
-  if (ec) dir_.clear();  // unusable directory: run disabled, not wrong
+  if (ec) {
+    dir_.clear();  // unusable directory: run disabled, not wrong
+    return;
+  }
+  // The one directory scan: every entry's size, oldest mtime first.
+  struct File {
+    std::string key;
+    fs::file_time_type mtime;
+    std::uint64_t size;
+  };
+  std::vector<File> files;
+  for (const auto& ent : fs::directory_iterator(dir_, ec)) {
+    if (ent.path().extension() != kSuffix) continue;
+    std::error_code size_ec, time_ec;
+    const std::uint64_t size = fs::file_size(ent.path(), size_ec);
+    const fs::file_time_type mtime = fs::last_write_time(ent.path(), time_ec);
+    if (!size_ec && !time_ec) files.push_back({ent.path().stem().string(), mtime, size});
+  }
+  std::sort(files.begin(), files.end(),
+            [](const File& a, const File& b) { return a.mtime < b.mtime; });
+  for (const File& f : files) track(f.key, f.size);
+}
+
+void DiskCache::track(const std::string& key, std::uint64_t bytes) {
+  auto [it, inserted] = index_.try_emplace(key);
+  if (inserted) {
+    it->second.lru = lru_.insert(lru_.end(), key);
+  } else {
+    total_bytes_ -= it->second.bytes;
+    lru_.splice(lru_.end(), lru_, it->second.lru);
+  }
+  it->second.bytes = bytes;
+  total_bytes_ += bytes;
+}
+
+void DiskCache::untrack(const std::string& key) {
+  auto it = index_.find(key);
+  if (it == index_.end()) return;
+  total_bytes_ -= it->second.bytes;
+  lru_.erase(it->second.lru);
+  index_.erase(it);
 }
 
 std::string DiskCache::path_for(const std::string& key) const {
@@ -120,13 +160,15 @@ std::optional<std::string> DiskCache::get(const std::string& key) {
     // Defective entry: evict so the next run recomputes and heals it.
     std::error_code ec;
     fs::remove(path, ec);
+    untrack(key);
     ++stats_.corrupt;
     ++stats_.misses;
     return std::nullopt;
   }
-  // Refresh mtime so LRU eviction sees this entry as recently used.
+  // Refresh recency, in the index and (for the next open) the file mtime.
   std::error_code ec;
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+  track(key, raw->size());
   ++stats_.hits;
   return payload;
 }
@@ -187,6 +229,7 @@ bool DiskCache::put(const std::string& key, const std::string& payload) {
       throw std::runtime_error("rename failed");
     }
     ++stats_.puts;
+    track(key, image.size());
     evict_to_budget();
     return true;
   } catch (const std::exception&) {
@@ -202,48 +245,19 @@ bool DiskCache::contains(const std::string& key) {
   return fs::exists(path_for(key), ec);
 }
 
-std::uint64_t DiskCache::total_bytes_locked() const {
-  std::uint64_t total = 0;
-  std::error_code ec;
-  for (const auto& ent : fs::directory_iterator(dir_, ec)) {
-    if (ent.path().extension() == kSuffix)
-      total += fs::file_size(ent.path(), ec);
-  }
-  return total;
-}
-
 std::uint64_t DiskCache::total_bytes() const {
-  if (!enabled()) return 0;
   std::lock_guard<std::mutex> lock(mu_);
-  return total_bytes_locked();
+  return total_bytes_;
 }
 
 void DiskCache::evict_to_budget() {
   if (max_bytes_ == 0) return;
-  struct File {
-    fs::path path;
-    fs::file_time_type mtime;
-    std::uint64_t size;
-  };
-  std::vector<File> files;
-  std::error_code ec;
-  std::uint64_t total = 0;
-  for (const auto& ent : fs::directory_iterator(dir_, ec)) {
-    if (ent.path().extension() != kSuffix) continue;
-    std::uint64_t size = fs::file_size(ent.path(), ec);
-    files.push_back(File{ent.path(), fs::last_write_time(ent.path(), ec), size});
-    total += size;
-  }
-  if (total <= max_bytes_) return;
-  std::sort(files.begin(), files.end(),
-            [](const File& a, const File& b) { return a.mtime < b.mtime; });
-  for (const File& f : files) {
-    if (total <= max_bytes_) break;
-    fs::remove(f.path, ec);
-    if (!ec) {
-      total -= f.size;
-      ++stats_.evictions;
-    }
+  while (total_bytes_ > max_bytes_ && !lru_.empty()) {
+    const std::string key = lru_.front();
+    std::error_code ec;
+    // An entry another process already removed just leaves the index.
+    if (fs::remove(path_for(key), ec)) ++stats_.evictions;
+    untrack(key);
   }
 }
 

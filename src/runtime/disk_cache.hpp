@@ -21,8 +21,14 @@
 // cache degrades to cold, never to wrong answers.
 //
 // The cache keeps a byte budget: after each put the least-recently-used
-// entries (by file mtime, refreshed on hit) are removed until the total
-// is back under `max_bytes`.
+// entries are removed until the total is back under `max_bytes`.  The
+// byte total and the recency order are an in-process index, built by one
+// directory scan at open (recency = file mtime) and then kept by every
+// put, overwrite, hit, eviction and defect removal, so no put or
+// total_bytes() call lists the directory.  Entries that writers in other
+// processes add or remove meanwhile are counted at the next open (or, for
+// an added entry, when this process first reads it).  Hits still refresh
+// the file's mtime, so the next open sees the same recency order.
 //
 // Fault-injection sites (src/runtime/fault.hpp): `disk.get`, `disk.put`,
 // `disk.put.payload` (corrupt/truncate/shortwrite the bytes about to be
@@ -32,9 +38,11 @@
 // light tools can link it without pulling in the runtime.
 
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace adc {
@@ -92,12 +100,23 @@ class DiskCache {
  private:
   std::string path_for(const std::string& key) const;
   void evict_to_budget();
-  std::uint64_t total_bytes_locked() const;
+  // Index upkeep, under mu_: track() records `bytes` for `key` as its
+  // most recent use (insert or overwrite); untrack() forgets it.
+  void track(const std::string& key, std::uint64_t bytes);
+  void untrack(const std::string& key);
+
+  struct Indexed {
+    std::uint64_t bytes = 0;
+    std::list<std::string>::iterator lru;
+  };
 
   mutable std::mutex mu_;
   std::string dir_;
   std::uint64_t max_bytes_ = 0;
   Stats stats_;
+  std::unordered_map<std::string, Indexed> index_;
+  std::list<std::string> lru_;  // keys, least recently used first
+  std::uint64_t total_bytes_ = 0;
 };
 
 }  // namespace adc

@@ -1,6 +1,7 @@
 #include "runtime/flow.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <ctime>
 #include <exception>
@@ -284,6 +285,57 @@ std::shared_ptr<const FlowExecutor::GlobalSnapshot> FlowExecutor::global_stage(
   return snap;
 }
 
+std::vector<const ControllerInstance*> ControllerSet::instances() const {
+  std::vector<const ControllerInstance*> out;
+  out.reserve(controllers.size());
+  for (const auto& c : controllers) out.push_back(&c->instance);
+  return out;
+}
+
+Fingerprint fingerprint(const ExtractedController& c) {
+  using U = std::uint64_t;
+  const Xbm& m = c.machine;
+  WordRecord r(16 + 4 * m.signals().size() + 3 * m.state_slots().size() +
+               16 * m.transition_slots().size() + 8 * c.bindings.size());
+  auto burst = [&r](const std::vector<XbmEdge>& edges) {
+    r.add(edges.size());
+    for (const XbmEdge& e : edges)
+      r.add(U{e.signal.value()} << 3 | static_cast<U>(e.polarity) << 1 |
+            U{e.directed_dont_care});
+  };
+  r.add(c.fu.value()).add(m.name()).add(m.initial().value());
+  r.add(m.signals().size());
+  for (const XbmSignal& sig : m.signals())
+    r.add(U{sig.id.value()} << 8 | static_cast<U>(sig.kind) << 6 |
+          static_cast<U>(sig.role) << 1 | U{sig.initial_value})
+        .add(sig.name);
+  r.add(m.state_slots().size());
+  for (const XbmState& st : m.state_slots())
+    r.add(U{st.id.value()} << 1 | U{st.alive}).add(st.name);
+  r.add(m.transition_slots().size());
+  for (const XbmTransition& t : m.transition_slots()) {
+    r.add(U{t.id.value()} << 1 | U{t.alive});
+    r.add(U{t.from.value()} << 32 | t.to.value()).add(t.origin.value());
+    burst(t.inputs);
+    burst(t.outputs);
+    r.add(t.conds.size());
+    for (const CondTerm& ct : t.conds) r.add(U{ct.signal.value()} << 1 | U{ct.value});
+    r.add(t.note);
+  }
+  r.add(c.bindings.size());
+  for (const auto& [sig, b] : c.bindings) {
+    r.add(U{sig} << 32 | static_cast<U>(b.role) << 16 | static_cast<U>(b.op) << 1 |
+          U{b.operand.is_const()});
+    r.add(static_cast<U>(b.mux_side)).add(b.reg).add(b.operand.reg);
+    r.add(static_cast<U>(b.operand.literal)).add(static_cast<U>(b.operand.scale));
+    r.add(b.channel ? U{b.channel->value()} << 1 | 1 : U{0});
+  }
+  return FingerprintBuilder()
+      .add("controller")
+      .add_words(r.words().data(), r.words().size())
+      .digest();
+}
+
 std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
     const TransformScript& script, std::shared_ptr<const GlobalSnapshot> snap,
     const Fingerprint& key, FlowPoint& p, const CancelToken& cancel,
@@ -292,6 +344,7 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
   fb.add(key).add("extract+lt").add(script.to_string());
   Fingerprint ckey = fb.digest();
   bool computed = false;
+  std::atomic<std::size_t> synthesized{0};
   StageScope stage(otrace, "controllers", "stage", stage_controllers_, &p.timings);
   const obs::TraceContext octx = stage.span().context();
   auto set = cache_.get_or_compute<ControllerSet>(ckey, [&]() -> ControllerSet {
@@ -299,25 +352,34 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
     ControllerSet out;
     out.plan = snap->have_plan ? snap->res.plan : ChannelPlan::derive(snap->g);
     auto extracted = extract_controllers(snap->g, out.plan);
-    out.instances.resize(extracted.size());
     out.controllers.resize(extracted.size());
-    out.local_results.resize(extracted.size());
-    auto synthesize_one = [&](std::size_t i) {
-      cancel.throw_if_cancelled();
-      ExtractedController c = std::move(extracted[i]);
-      // Subtasks may land on any pool thread; the explicit parent keeps
-      // them under this stage in the per-job tree regardless.
-      obs::TraceSpan cspan(octx, "controller:" + c.machine.name(), "controller");
-      ControllerInstance inst;
-      ControllerMetrics m;
+    // What a controller's LT + logic result depends on besides the
+    // controller itself.
+    const LocalTransformOptions& lt = script.local_options();
+    const Fingerprint lt_key = FingerprintBuilder()
+                                   .add("lt")
+                                   .add(script.has_local_step())
+                                   .add(lt.lt1_move_up_dones)
+                                   .add(lt.lt2_move_down_resets)
+                                   .add(lt.lt3_mux_preselection)
+                                   .add(lt.lt4_remove_acks)
+                                   .add(lt.lt4_remove_fudone_reset)
+                                   .add(lt.lt5_signal_sharing)
+                                   .digest();
+    // LT + two-level logic of one controller: a pure function of the
+    // extracted controller and the LT options.
+    auto synthesize = [&](ExtractedController c,
+                          const obs::TraceContext& ctrace) -> SynthesizedController {
+      synthesized.fetch_add(1, std::memory_order_relaxed);
+      SynthesizedController sc;
+      ControllerMetrics& m = sc.metrics;
       m.name = c.machine.name();
       m.states_extracted = c.machine.state_count();
       m.transitions_extracted = c.machine.transition_count();
-      TransformResult local;
       if (script.has_local_step()) {
         LocalTransformResult lt = run_local_transforms(c, script.local_options());
-        inst.shared_signals = std::move(lt.shared_signals);
-        local = std::move(lt.stats);
+        sc.instance.shared_signals = std::move(lt.shared_signals);
+        sc.local = std::move(lt.stats);
       }
       m.states = c.machine.state_count();
       m.transitions = c.machine.transition_count();
@@ -332,7 +394,7 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
       // both groups only join their own subtasks, so the nesting cannot
       // deadlock or bill foreign work to this stage's deadline.
       sopts.pool = pool_;
-      sopts.trace = cspan.context();
+      sopts.trace = ctrace;
       auto logic = synthesize_logic(c, sopts);
       m.products = logic.product_count(true);
       m.literals = logic.literal_count(true);
@@ -345,10 +407,27 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
                      {"states", m.states},
                      {"transitions", m.transitions},
                      {"literals", m.literals}});
-      inst.controller = std::move(c);
-      out.instances[i] = std::move(inst);
-      out.controllers[i] = std::move(m);
-      out.local_results[i] = std::move(local);
+      sc.instance.controller = std::move(c);
+      return sc;
+    };
+    auto synthesize_one = [&](std::size_t i) {
+      cancel.throw_if_cancelled();
+      ExtractedController& c = extracted[i];
+      // Subtasks may land on any pool thread; the explicit parent keeps
+      // them under this stage in the per-job tree regardless.
+      obs::TraceSpan cspan(octx, "controller:" + c.machine.name(), "controller");
+      bool miss = false;
+      auto compute = [&] {
+        miss = true;
+        return synthesize(std::move(c), cspan.context());
+      };
+      // With caching off no digest is taken: nothing could be replayed.
+      out.controllers[i] =
+          opts_.cache_capacity > 0
+              ? cache_.get_or_compute<SynthesizedController>(
+                    FingerprintBuilder().add(fingerprint(c)).add(lt_key).digest(), compute)
+              : std::make_shared<const SynthesizedController>(compute());
+      cspan.arg("cache", cache_arg(miss));
     };
     if (pool_ && extracted.size() > 1) {
       // Scoped join: TaskGroup::wait() runs only this point's subtasks
@@ -369,6 +448,9 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
   });
   stage.span().arg("cache", cache_arg(computed));
   stage.set_cached(!computed);
+  const std::size_t n = set->controllers.size();
+  metrics_.counter("flow.controllers").add(n);
+  metrics_.counter("flow.controllers_cached").add(n - synthesized.load());
   return set;
 }
 
@@ -429,15 +511,15 @@ std::shared_ptr<const ProvenanceReport> FlowExecutor::build_provenance(
     ps.decisions = st.decisions;
     rep->global_stages.push_back(std::move(ps));
   }
-  for (std::size_t i = 0; i < set.controllers.size(); ++i) {
-    const ControllerMetrics& m = set.controllers[i];
+  for (const auto& c : set.controllers) {
+    const ControllerMetrics& m = c->metrics;
     ControllerProvenance cp;
     cp.name = m.name;
     cp.states_extracted = m.states_extracted;
     cp.transitions_extracted = m.transitions_extracted;
     cp.states_final = m.states;
     cp.transitions_final = m.transitions;
-    if (i < set.local_results.size()) cp.decisions = set.local_results[i].decisions;
+    cp.decisions = c->local.decisions;
     rep->controllers.push_back(std::move(cp));
   }
   for (const auto& e : rep->reconcile())
@@ -538,9 +620,10 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
     p.graph = std::shared_ptr<const Cdfg>(snap, &snap->g);
 
     p.channels = set->plan.count_controller_channels();
-    p.controllers = set->controllers;
     p.ok = true;
-    for (const auto& m : set->controllers) {
+    for (const auto& c : set->controllers) {
+      const ControllerMetrics& m = c->metrics;
+      p.controllers.push_back(m);
       p.states += m.states;
       p.transitions += m.transitions;
       p.products += m.products;
@@ -559,7 +642,7 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
         SimEventLog event_log;
         if (req.critical_path && !sim_opts.event_log)
           sim_opts.event_log = &event_log;
-        auto r = run_event_sim(snap->g, set->plan, set->instances, req.init, sim_opts);
+        auto r = run_event_sim(snap->g, set->plan, set->instances(), req.init, sim_opts);
         if (r.cancelled) throw CancelledError(r.error);
         if (req.critical_path && sim_opts.event_log)
           p.critical_path = std::make_shared<const CriticalPathResult>(

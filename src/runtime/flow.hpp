@@ -3,18 +3,22 @@
 //
 // One synthesis run is modelled as a DAG of stages
 //
-//   frontend -> gt-step* -> extract(+local transforms) -> logic -> event-sim
+//   frontend -> gt-step* -> extract -> per controller (LT + logic) -> event-sim
 //
 // executed with per-stage wall-clock timing and metrics.  Two mechanisms
 // make batch design-space exploration fast:
 //
 //  * a content-addressed StageCache: the frontend result, every global
 //    transform *prefix* (the graph state after `gt1`, after `gt1; gt2`,
-//    ...) and the extracted+locally-transformed controller set are each
-//    addressed by a fingerprint of program text, normalized script prefix
-//    and delay model.  Recipes sharing a prefix — exactly the shape of the
-//    paper's Figure 12/13 ablation grids — recompute nothing upstream of
-//    their first differing step;
+//    ...) and the controller set are each addressed by a fingerprint of
+//    program text, normalized script prefix and delay model.  Recipes
+//    sharing a prefix — exactly the shape of the paper's Figure 12/13
+//    ablation grids — recompute nothing upstream of their first differing
+//    step.  Below the set, each controller's LT + logic result is keyed by
+//    the controller itself (fingerprint(ExtractedController) plus the LT
+//    options), since the paper synthesizes every controller on its own: a
+//    recipe that leaves a unit's controller unchanged reuses its circuit,
+//    and the sets of different recipes share that one result;
 //  * a work-stealing ThreadPool: run_all() fans independent recipe
 //    evaluations across workers, and within one run the per-controller
 //    work (local transforms + two-level logic synthesis) is forked as
@@ -116,16 +120,36 @@ struct ControllerMetrics {
   bool feasible = true;
 };
 
-// The cached post-extraction artifact: the final channel plan, the
-// controllers after local transforms, and their gate-level metrics.
+// One controller's cached synthesis result: the controller after local
+// transforms, its gate-level metrics and its LT pipeline log (decisions
+// included; an empty TransformResult when the script has no lt step).
+struct SynthesizedController {
+  ControllerInstance instance;
+  ControllerMetrics metrics;
+  TransformResult local;
+};
+
+// The cached post-extraction artifact: the final channel plan and, in
+// extraction order, the synthesized controllers.  A controller is shared
+// with every other set (and the cache entry) holding the same one.
 struct ControllerSet {
   ChannelPlan plan;
-  std::vector<ControllerInstance> instances;
-  std::vector<ControllerMetrics> controllers;
-  // Per-controller LT pipeline log (decisions included), index-aligned with
-  // `instances`; empty TransformResults when the script has no lt step.
-  std::vector<TransformResult> local_results;
+  std::vector<std::shared_ptr<const SynthesizedController>> controllers;
+
+  // The instances, in order, as run_event_sim reads them.
+  std::vector<const ControllerInstance*> instances() const;
 };
+
+// Structural digest of one extracted controller, the key of its LT + logic
+// result.  It covers every field: the FU id, machine name and initial
+// state; each signal's id, name, kind, role and initial value; each state
+// slot's id, name and alive flag; each transition slot's id, from/to, both
+// bursts (signal, polarity, directed don't-care), conds, origin, note and
+// alive flag; and every SignalBinding.  `origin` matters although no
+// rendering of the machine shows it: the event simulator reads the CDFG
+// node through it, and two programs can extract the same machine text
+// from different nodes.
+Fingerprint fingerprint(const ExtractedController& c);
 
 struct StageTiming {
   std::string stage;

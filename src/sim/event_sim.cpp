@@ -54,12 +54,13 @@ struct Ctrl {
 class EventSim {
  public:
   EventSim(const Cdfg& g, const ChannelPlan& plan,
-           const std::vector<ControllerInstance>& instances,
+           const std::vector<const ControllerInstance*>& instances,
            const std::map<std::string, std::int64_t>& init, const EventSimOptions& opts)
       : g_(g), plan_(plan), opts_(opts), rng_(opts.seed) {
     regs_.values = init;
     channels_.resize(plan.channels().size());
-    for (const auto& inst : instances) {
+    for (const ControllerInstance* ip : instances) {
+      const ControllerInstance& inst = *ip;
       Ctrl c;
       c.ec = &inst.controller;
       c.state = inst.controller.machine.initial();
@@ -532,10 +533,20 @@ class EventSim {
 }  // namespace
 
 EventSimResult run_event_sim(const Cdfg& g, const ChannelPlan& plan,
-                             const std::vector<ControllerInstance>& controllers,
+                             const std::vector<const ControllerInstance*>& controllers,
                              const std::map<std::string, std::int64_t>& initial_registers,
                              const EventSimOptions& opts) {
   return EventSim(g, plan, controllers, initial_registers, opts).run();
+}
+
+EventSimResult run_event_sim(const Cdfg& g, const ChannelPlan& plan,
+                             const std::vector<ControllerInstance>& controllers,
+                             const std::map<std::string, std::int64_t>& initial_registers,
+                             const EventSimOptions& opts) {
+  std::vector<const ControllerInstance*> ptrs;
+  ptrs.reserve(controllers.size());
+  for (const ControllerInstance& c : controllers) ptrs.push_back(&c);
+  return run_event_sim(g, plan, ptrs, initial_registers, opts);
 }
 
 }  // namespace adc

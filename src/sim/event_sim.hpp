@@ -82,5 +82,11 @@ EventSimResult run_event_sim(const Cdfg& g, const ChannelPlan& plan,
                              const std::vector<ControllerInstance>& controllers,
                              const std::map<std::string, std::int64_t>& initial_registers,
                              const EventSimOptions& opts = {});
+// The same, reading each controller through a pointer: the flow executor's
+// controllers are shared cache entries, not one owned vector.
+EventSimResult run_event_sim(const Cdfg& g, const ChannelPlan& plan,
+                             const std::vector<const ControllerInstance*>& controllers,
+                             const std::map<std::string, std::int64_t>& initial_registers,
+                             const EventSimOptions& opts = {});
 
 }  // namespace adc

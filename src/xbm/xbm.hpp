@@ -115,6 +115,12 @@ class Xbm {
 
   std::optional<SignalId> find_signal(const std::string& name) const;
 
+  // Every slot, removed states and transitions included (alive == false),
+  // in id order: what a whole-machine digest reads.
+  const std::vector<XbmSignal>& signals() const { return signals_; }
+  const std::vector<XbmState>& state_slots() const { return states_; }
+  const std::vector<XbmTransition>& transition_slots() const { return transitions_; }
+
   std::vector<SignalId> signal_ids() const;
   std::vector<StateId> state_ids() const;          // live states
   std::vector<TransitionId> transition_ids() const;  // live transitions

@@ -195,6 +195,41 @@ TEST_F(DiskCacheTest, ScanReportsDefectsWithoutMutating) {
   EXPECT_TRUE(fs::exists(entry_path("bad")));
 }
 
+// The running byte total must equal what a directory scan counts after
+// puts, overwrites, evictions and defect removals, and a reopened cache
+// must start from the same figure.
+TEST_F(DiskCacheTest, RunningTotalMatchesADirectoryScan) {
+  auto scanned = [&] {
+    std::uint64_t total = 0;
+    for (const auto& e : fs::directory_iterator(dir_))
+      if (e.path().extension() == ".adcstage") total += fs::file_size(e.path());
+    return total;
+  };
+  DiskCache cache(dir_.string(), 1900);
+  for (int i = 0; i < 6; ++i)
+    ASSERT_TRUE(cache.put(std::to_string(i) + "k", std::string(100 + 50 * i, 'a')));
+  EXPECT_EQ(cache.total_bytes(), scanned());
+  ASSERT_TRUE(cache.put("2k", std::string(700, 'b')));  // overwrite, larger
+  EXPECT_EQ(cache.total_bytes(), scanned());
+  EXPECT_GE(cache.stats().evictions, 1u);  // the larger copy broke the budget
+  EXPECT_LE(cache.total_bytes(), 1900u);
+  ASSERT_TRUE(cache.put("3k", "short"));  // overwrite, smaller
+  EXPECT_EQ(cache.total_bytes(), scanned());
+  {
+    std::fstream f(entry_path("3k"), std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(24);
+    f.put('!');
+  }
+  EXPECT_FALSE(cache.get("3k").has_value());  // defect: removed
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(cache.total_bytes(), scanned());
+  ASSERT_TRUE(cache.put("big", std::string(1800, 'c')));  // evicts all but itself
+  EXPECT_EQ(cache.total_bytes(), scanned());
+  EXPECT_TRUE(cache.contains("big"));
+  EXPECT_EQ(cache.total_bytes(), 1824u);
+  EXPECT_EQ(DiskCache(dir_.string(), 1900).total_bytes(), scanned());
+}
+
 TEST_F(DiskCacheTest, ChecksumIsFnv1a64) {
   // Pinned reference values: the on-disk format must not drift silently.
   EXPECT_EQ(DiskCache::checksum(""), 0xcbf29ce484222325ull);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <map>
 #include <thread>
 
 #include "logic/minimize.hpp"
@@ -119,6 +121,90 @@ TEST(StageCache, LruPrefersRecentlyUsed) {
   EXPECT_EQ(a_computes, 1);
 }
 
+// Eviction takes the least recently used *ready* entry: recency is set
+// when an entry becomes ready and on every hit, and an entry still being
+// computed is never a victim, however old its claim.
+TEST(StageCache, EvictionOrderIsLeastRecentlyUsedReadyEntryFirst) {
+  StageCache cache(3);
+  auto key = [](const char* k) { return FingerprintBuilder().add(k).digest(); };
+  std::map<std::string, int> computes;
+  auto get = [&](const char* k) {
+    cache.get_or_compute<int>(key(k), [&] { return ++computes[k]; });
+  };
+  // An in-flight entry, claimed first and held until the end.
+  std::latch claimed(1), release(1);
+  std::thread slow([&] {
+    cache.get_or_compute<int>(key("slow"), [&] {
+      claimed.count_down();
+      release.wait();
+      return ++computes["slow"];
+    });
+  });
+  claimed.wait();
+  get("a");
+  get("b");  // {slow, a, b}: at capacity
+  get("a");  // a is now the most recent
+  get("c");  // evicts b, the least recent ready entry; slow is in flight
+  get("d");  // evicts a
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  release.count_down();
+  slow.join();  // slow held its slot since its claim: nothing more to evict
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  for (const char* k : {"slow", "c", "d"}) get(k);  // hits, in this order
+  get("a");     // evicts slow
+  get("slow");  // evicts c
+  EXPECT_EQ(cache.stats().evictions, 4u);
+  EXPECT_EQ(computes, (std::map<std::string, int>{
+                          {"a", 2}, {"b", 1}, {"c", 1}, {"d", 1}, {"slow", 2}}));
+  for (const char* k : {"d", "a", "slow"}) get(k);  // the residents: all hits
+  EXPECT_EQ(cache.stats().evictions, 4u);
+  EXPECT_EQ(computes["a"] + computes["d"] + computes["slow"], 5);
+}
+
+// A joined waiter whose producer unwinds on the *producer's* cancellation
+// claims the key and computes under its own token; an injected fault, in
+// contrast, reaches the waiter as it is.
+TEST(StageCache, JoinedWaiterRecomputesWhenTheProducerIsCancelled) {
+  for (bool cancelled : {true, false}) {
+    SCOPED_TRACE(cancelled ? "producer cancelled" : "producer faulted");
+    StageCache cache(16);
+    const Fingerprint k = FingerprintBuilder().add("shared").digest();
+    std::latch producing(1), joined(1);
+    std::thread producer([&] {
+      EXPECT_ANY_THROW(cache.get_or_compute<int>(k, [&]() -> int {
+        producing.count_down();
+        joined.wait();
+        if (cancelled) throw CancelledError("flow job deadline exceeded");
+        throw FaultInjectedError("cache.compute");
+      }));
+    });
+    producing.wait();
+    std::thread waiter([&] {
+      int own_computes = 0;
+      auto compute = [&] {
+        ++own_computes;
+        return 7;
+      };
+      if (cancelled) {
+        EXPECT_EQ(*cache.get_or_compute<int>(k, compute), 7);
+        EXPECT_EQ(own_computes, 1);
+      } else {
+        EXPECT_THROW(cache.get_or_compute<int>(k, compute), FaultInjectedError);
+        EXPECT_EQ(own_computes, 0);
+      }
+    });
+    // Release the producer only once the waiter has joined its compute.
+    while (cache.stats().joins == 0) std::this_thread::yield();
+    joined.count_down();
+    producer.join();
+    waiter.join();
+    const CacheStats st = cache.stats();
+    EXPECT_EQ(st.joins, 1u);
+    EXPECT_EQ(st.misses, cancelled ? 2u : 1u);
+    EXPECT_EQ(st.entries, cancelled ? 1u : 0u);
+  }
+}
+
 // The acceptance guarantee: a recipe served from the stage cache yields the
 // exact same netlists as a cold evaluation.
 TEST(StageCache, CachedFlowProducesByteIdenticalNetlists) {
@@ -128,9 +214,10 @@ TEST(StageCache, CachedFlowProducesByteIdenticalNetlists) {
 
   auto netlists = [](const FlowPoint& p) {
     std::vector<std::string> out;
-    for (const auto& inst : p.artifacts->instances) {
-      auto logic = synthesize_logic(inst.controller);
-      out.push_back(to_verilog(logic, inst.controller.machine.name()));
+    for (const auto& c : p.artifacts->controllers) {
+      const ExtractedController& ec = c->instance.controller;
+      auto logic = synthesize_logic(ec);
+      out.push_back(to_verilog(logic, ec.machine.name()));
       out.push_back(to_equations(logic));
     }
     return out;

@@ -25,16 +25,19 @@
 //   --threshold PCT         p50 wall growth counted as a regression (10)
 //   --min-time-us US        ignore benchmarks faster than this floor (50)
 //   --ratio A:B:PCT         cross-benchmark gate within one run (or the NEW
-//                           report of --diff): p50 wall of A must stay
-//                           within PCT%% of B's, i.e. p50(A) <= p50(B) *
-//                           (1 + PCT/100).  Repeatable.  In run mode the
-//                           pair is measured with interleaved iterations
-//                           (A,B,A,B,...) so in-process drift cancels out
-//                           of the ratio instead of skewing whichever side
-//                           runs later.  This is how the profiled DSE sweep
-//                           (dse.grid_profiled) is held to <= 5%% over
-//                           dse.grid_cold_serial without depending on a
-//                           saved baseline's absolute times.
+//                           report of --diff): A's wall time must stay
+//                           within PCT%% of B's.  Repeatable.  In run mode
+//                           the pair is measured with interleaved
+//                           iterations (A,B,A,B,...) and the gate reads the
+//                           median of the per-round ratios A_i/B_i, so
+//                           in-process drift and a slow stretch of the
+//                           host cancel out of each ratio instead of
+//                           skewing whichever side's p50 they land on.
+//                           With --diff only p50s exist: p50(A) <=
+//                           p50(B) * (1 + PCT/100).  This is how the
+//                           profiled DSE sweep (dse.grid_profiled) is held
+//                           to <= 5%% over dse.grid_cold_serial without
+//                           depending on a saved baseline's absolute times.
 //   --check                 exit 1 when the comparison found a regression
 //                           or a --ratio gate failed
 //   --suite-deadline-ms N   wall budget per benchmark (default 600000,
@@ -45,8 +48,10 @@
 //
 // A vanished benchmark is always a regression; a new one never is.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -84,7 +89,7 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-// One --ratio A:B:PCT gate: p50 wall of A must not exceed B's by more than
+// One --ratio A:B:PCT gate: A's wall time must not exceed B's by more than
 // PCT percent.  Both benchmarks come from the SAME run, so machine speed
 // cancels out — unlike a --baseline diff, the gate holds on any hardware.
 struct RatioSpec {
@@ -104,11 +109,27 @@ RatioSpec parse_ratio(const std::string& spec) {
   return r;
 }
 
+// The median of the per-round ratios a[i] / b[i] minus one, in percent;
+// rounds with a zero denominator are skipped (none: nullopt).
+std::optional<double> median_paired_pct(const std::vector<double>& a,
+                                        const std::vector<double>& b) {
+  std::vector<double> ratios;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i)
+    if (b[i] > 0.0) ratios.push_back(a[i] / b[i]);
+  if (ratios.empty()) return std::nullopt;
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t n = ratios.size();
+  const double median =
+      n % 2 ? ratios[n / 2] : (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0;
+  return (median - 1.0) * 100.0;
+}
+
 // Evaluates a parsed gate against the two records (either side may be null
-// when the benchmark is missing).  Returns false (and prints why) on
-// failure.
+// when the benchmark is missing) and, when measured here, their per-round
+// wall samples.  Returns false (and prints why) on failure.
 bool eval_ratio(const perf::BenchRecord* a, const perf::BenchRecord* b,
-                const RatioSpec& spec, FILE* log) {
+                const RatioSpec& spec, FILE* log,
+                const std::vector<std::vector<double>>& rounds = {}) {
   if (!a || !b) {
     std::fprintf(log, "ratio %s vs %s: FAIL (%s not measured)\n",
                  spec.a.c_str(), spec.b.c_str(),
@@ -121,6 +142,16 @@ bool eval_ratio(const perf::BenchRecord* a, const perf::BenchRecord* b,
                  a->status != "ok" ? spec.a.c_str() : spec.b.c_str(),
                  a->status != "ok" ? a->status.c_str() : b->status.c_str());
     return false;
+  }
+  if (rounds.size() == 2) {
+    const std::optional<double> pct = median_paired_pct(rounds[0], rounds[1]);
+    const bool ok = pct && *pct <= spec.pct;
+    std::fprintf(log,
+                 "ratio %s vs %s: median of %zu paired ratios %+.1f%% (p50 %.0f us vs "
+                 "%.0f us, gate +%.1f%%) %s\n",
+                 spec.a.c_str(), spec.b.c_str(), rounds[0].size(), pct.value_or(0.0),
+                 a->wall_us.p50, b->wall_us.p50, spec.pct, ok ? "ok" : "FAIL");
+    return ok;
   }
   const double limit = b->wall_us.p50 * (1.0 + spec.pct / 100.0);
   const bool ok = b->wall_us.p50 > 0.0 && a->wall_us.p50 <= limit;
@@ -258,8 +289,9 @@ int main(int argc, char** argv) {
         ratios_ok = false;
         continue;
       }
-      std::vector<perf::BenchRecord> pair = perf::measure_group({*a, *b}, mopts);
-      ratios_ok = eval_ratio(&pair[0], &pair[1], spec, log) && ratios_ok;
+      std::vector<std::vector<double>> rounds;
+      std::vector<perf::BenchRecord> pair = perf::measure_group({*a, *b}, mopts, &rounds);
+      ratios_ok = eval_ratio(&pair[0], &pair[1], spec, log, rounds) && ratios_ok;
       // The interleaved samples are measured under the same policy — they
       // belong in the emitted report like any sequential record.
       for (perf::BenchRecord& rec : pair)

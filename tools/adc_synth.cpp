@@ -298,9 +298,9 @@ int main(int argc, char** argv) {
     // for (the flow keeps metrics, not netlists).
     bool need_logic = emit.count("verilog") || emit.count("eqn");
     Table t({"controller", "states", "transitions", "products", "literals", "feasible"});
-    for (std::size_t i = 0; i < p.artifacts->instances.size(); ++i) {
-      const ControllerInstance& inst = p.artifacts->instances[i];
-      const ControllerMetrics& m = p.artifacts->controllers[i];
+    for (const auto& c : p.artifacts->controllers) {
+      const ControllerInstance& inst = c->instance;
+      const ControllerMetrics& m = c->metrics;
       if (inst.controller.machine.transition_ids().empty()) continue;
       t.add_row({m.name, std::to_string(m.states), std::to_string(m.transitions),
                  std::to_string(m.products), std::to_string(m.literals),
