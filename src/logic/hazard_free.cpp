@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 
+#include "logic/columns.hpp"
 #include "logic/memo.hpp"
 
 namespace adc {
@@ -21,73 +22,9 @@ bool implicant_valid(const FunctionSpec& f, const Cube& p) {
 
 namespace {
 
-using Word = std::uint64_t;
+using namespace detail;
 
-bool test_bit(const Word* mask, std::size_t i) { return (mask[i / 64] >> (i % 64)) & 1; }
-void set_bit(Word* mask, std::size_t i) { mask[i / 64] |= Word{1} << (i % 64); }
 void clear_bit(Word* mask, std::size_t i) { mask[i / 64] &= ~(Word{1} << (i % 64)); }
-
-// Calls fn(i) for every set bit i of a `words`-word mask, in ascending order.
-template <class Fn>
-void for_each_bit(const Word* mask, std::size_t words, Fn fn) {
-  for (std::size_t w = 0; w < words; ++w)
-    for (Word b = mask[w]; b; b &= b - 1)
-      fn(w * 64 + static_cast<std::size_t>(__builtin_ctzll(b)));
-}
-
-// The fixed variables of a cube in Cube's layout (can0 words, then can1).
-void fixed_vars(const Word* c, std::size_t words, Word* out) {
-  for (std::size_t w = 0; w < words; ++w) out[w] = c[w] ^ c[words + w];
-}
-
-// A list of cubes stored by variable: for each variable u and value x, the
-// set of cubes (one bit each) fixed to x at u.  Two cubes are disjoint
-// exactly when some variable is fixed to opposite values in them, so the
-// cubes a cube c is disjoint from are the union, over c's fixed variables,
-// of the sets fixed to the other value — a few row ORs instead of a pass
-// over the list.
-struct Columns {
-  std::size_t n = 0;       // cubes
-  std::size_t words = 0;   // per set
-  std::vector<Word> sets;  // (2 * var + value) * words
-
-  Columns(const std::vector<const Cube*>& cubes, std::size_t vars, std::size_t cube_words)
-      : n(cubes.size()), words((cubes.size() + 63) / 64), sets(2 * vars * words, 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const Word* c = cubes[i]->words();
-      for (std::size_t w = 0; w < cube_words; ++w) {
-        for (Word b = c[w] & ~c[cube_words + w]; b; b &= b - 1)
-          set_bit(row(w * 64 + static_cast<std::size_t>(__builtin_ctzll(b)), false), i);
-        for (Word b = c[cube_words + w] & ~c[w]; b; b &= b - 1)
-          set_bit(row(w * 64 + static_cast<std::size_t>(__builtin_ctzll(b)), true), i);
-      }
-    }
-  }
-  Word* row(std::size_t var, bool one) { return sets.data() + (2 * var + one) * words; }
-  const Word* row(std::size_t var, bool one) const {
-    return sets.data() + (2 * var + one) * words;
-  }
-  // The cubes disjoint from cube `c` at its fixed variable `var`.
-  const Word* against(const Word* c, std::size_t cube_words, std::size_t var) const {
-    return row(var, !test_bit(c + cube_words, var));
-  }
-  // `out` = the cubes disjoint from `c`, given c's fixed variables.
-  void disjoint(const Word* c, const Word* fixed, std::size_t cube_words, Word* out) const {
-    std::fill(out, out + words, Word{0});
-    for_each_bit(fixed, cube_words, [&](std::size_t var) {
-      const Word* r = against(c, cube_words, var);
-      for (std::size_t k = 0; k < words; ++k) out[k] |= r[k];
-    });
-  }
-  // True when every cube is in `mask`.
-  bool all(const Word* mask) const {
-    for (std::size_t k = 0; k + 1 < words; ++k)
-      if (~mask[k]) return false;
-    if (words == 0) return true;
-    const Word last = n % 64 == 0 ? ~Word{0} : (Word{1} << (n % 64)) - 1;
-    return (mask[words - 1] & last) == last;
-  }
-};
 
 std::vector<const Cube*> pointers(const std::vector<Cube>& cubes) {
   std::vector<const Cube*> out;
@@ -409,21 +346,26 @@ struct CoverMatrix {
 }  // namespace
 
 bool CompiledSpec::valid(const Cube& p) const {
+  // Word k of the OFF cubes / transitions disjoint from p, built from p's
+  // fixed variables a word at a time, so the check needs no scratch.
   const Tables& s = *tables_;
   const std::size_t W = s.words;
-  std::vector<Word> scratch(W + std::max(s.off.words, s.dyn.words));
-  Word* fixed = scratch.data();
-  Word* disjoint = fixed + W;
-  fixed_vars(p.words(), W, fixed);
-  s.off.disjoint(p.words(), fixed, W, disjoint);
-  if (!s.off.all(disjoint)) return false;
-  s.dyn.disjoint(p.words(), fixed, W, disjoint);
-  for (std::size_t i = 0; i < s.dyn.n; ++i) {
-    if (test_bit(disjoint, i)) continue;
-    const Word* a = s.anchor(i);
-    for (std::size_t w = 0; w < 2 * W; ++w)
-      if (a[w] & ~p.words()[w]) return false;
-  }
+  const Word* c = p.words();
+  auto disjoint = [&](const Columns& cols, std::size_t k) {
+    Word out = 0;
+    for (std::size_t w = 0; w < W; ++w)
+      for (Word b = c[w] ^ c[W + w]; b; b &= b - 1)
+        out |= cols.against(c, W, w * 64 + static_cast<std::size_t>(__builtin_ctzll(b)))[k];
+    return out;
+  };
+  for (std::size_t k = 0; k < s.off.words; ++k)
+    if ((disjoint(s.off, k) & s.off.live(k)) != s.off.live(k)) return false;
+  for (std::size_t k = 0; k < s.dyn.words; ++k)
+    for (Word b = ~disjoint(s.dyn, k) & s.dyn.live(k); b; b &= b - 1) {
+      const Word* a = s.anchor(k * 64 + static_cast<std::size_t>(__builtin_ctzll(b)));
+      for (std::size_t w = 0; w < 2 * W; ++w)
+        if (a[w] & ~c[w]) return false;
+    }
   return true;
 }
 

@@ -61,7 +61,7 @@ std::shared_ptr<const LogicMemo::Entry> LogicMemo::lookup(const Fingerprint& key
   if (capacity_ > 0) {
     auto it = slots_.find(key);
     if (it != slots_.end()) {
-      it->second.lru = ++tick_;
+      lru_.splice(lru_.end(), lru_, it->second.lru);
       ++stats_.hits;
       return it->second.entry;
     }
@@ -77,15 +77,13 @@ void LogicMemo::fill(const Fingerprint& key, std::shared_ptr<const Entry> entry)
   if (capacity_ == 0) return;
   auto it = slots_.find(key);
   if (it != slots_.end()) {
-    it->second.lru = ++tick_;
+    lru_.splice(lru_.end(), lru_, it->second.lru);
     return;  // first value wins; entries are deterministic anyway
   }
-  slots_.emplace(key, Slot{std::move(entry), ++tick_});
+  slots_.emplace(key, Slot{std::move(entry), lru_.insert(lru_.end(), key)});
   while (slots_.size() > capacity_) {
-    auto victim = slots_.begin();
-    for (auto sit = slots_.begin(); sit != slots_.end(); ++sit)
-      if (sit->second.lru < victim->second.lru) victim = sit;
-    slots_.erase(victim);
+    slots_.erase(lru_.front());
+    lru_.pop_front();
     ++stats_.evictions;
   }
 }
@@ -100,6 +98,7 @@ LogicMemo::Stats LogicMemo::stats() const {
 void LogicMemo::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   slots_.clear();
+  lru_.clear();
 }
 
 }  // namespace adc

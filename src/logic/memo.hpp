@@ -13,11 +13,15 @@
 // suffixes and re-prefixed on replay).
 //
 // One tier: a bounded in-memory LRU map shared by all workers of an
-// executor.  Restarts are served by the point-level disk cache
-// (runtime/disk_cache), which replays whole flow points; the memo keeps
-// nothing on disk.
+// executor.  Entries sit on a recency list beside the map (the stage
+// cache's idiom): a hit, or a fill of a resident key, moves the key to the
+// back, and eviction pops the front, so every lookup and fill is O(log n)
+// however full the memo is.  Restarts are served by the point-level disk
+// cache (runtime/disk_cache), which replays whole flow points; the memo
+// keeps nothing on disk.
 
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -64,12 +68,12 @@ class LogicMemo {
  private:
   struct Slot {
     std::shared_ptr<const Entry> entry;
-    std::uint64_t lru = 0;
+    std::list<Fingerprint>::iterator lru;  // position in lru_
   };
   std::size_t capacity_;
   mutable std::mutex mu_;
   std::map<Fingerprint, Slot> slots_;
-  std::uint64_t tick_ = 0;
+  std::list<Fingerprint> lru_;  // resident keys, least recently used first
   Stats stats_;
 };
 

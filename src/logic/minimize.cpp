@@ -1,116 +1,160 @@
 #include "logic/minimize.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <set>
 
+#include "logic/columns.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace adc {
 
 namespace {
 
-// Embeds an input-space cube into the full (inputs + state bits) space with
-// the state coordinates fixed to `code`.
-Cube embed(const Cube& in, std::size_t vars, std::size_t ni, std::size_t bits,
-           std::uint32_t code) {
-  Cube out(vars);
-  for (std::size_t i = 0; i < ni; ++i) out.set(i, in.get(i));
-  for (std::size_t b = 0; b < bits; ++b)
-    out.set(ni + b, ((code >> b) & 1) ? Cube::V::kOne : Cube::V::kZero);
-  return out;
-}
+using namespace detail;
 
-// As above but spanning two codes (the feedback-settling cube).
-Cube embed_span(const Cube& in, std::size_t vars, std::size_t ni, std::size_t bits,
-                std::uint32_t c1, std::uint32_t c2) {
+// Embeds an input-space cube into the full (inputs + state bits) space:
+// the state bits are fixed where codes c1 and c2 agree and free where they
+// differ (c1 == c2 pins one code; a one-bit change gives the
+// feedback-settling span).  The input masks are copied a word at a time.
+Cube embed(const Cube& in, std::size_t vars, std::size_t ni, std::size_t bits,
+           std::uint32_t c1, std::uint32_t c2) {
   Cube out(vars);
-  for (std::size_t i = 0; i < ni; ++i) out.set(i, in.get(i));
+  std::uint64_t* o = out.words();
+  const std::uint64_t* i = in.words();
+  const std::size_t wo = out.word_count(), wi = in.word_count();
+  for (std::size_t w = 0; w < wi; ++w) {
+    const std::uint64_t live =
+        w + 1 < wi || ni % 64 == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << (ni % 64)) - 1;
+    o[w] = (o[w] & ~live) | i[w];
+    o[wo + w] = (o[wo + w] & ~live) | i[wi + w];
+  }
   for (std::size_t b = 0; b < bits; ++b) {
-    bool v1 = (c1 >> b) & 1, v2 = (c2 >> b) & 1;
-    out.set(ni + b, v1 == v2 ? (v1 ? Cube::V::kOne : Cube::V::kZero) : Cube::V::kFree);
+    const bool v1 = (c1 >> b) & 1, v2 = (c2 >> b) & 1;
+    if (v1 == v2) out.set(ni + b, v1 ? Cube::V::kOne : Cube::V::kZero);
   }
   return out;
 }
 
-}  // namespace
+// Every transition's cubes in the full space, embedded once per
+// controller: the distinct cubes in ascending order, and each
+// transition's cubes as indices into them.  A function picks cube ids by
+// its values at the two ends of each transition, so its required and OFF
+// lists come out sorted and duplicate-free from a pass over an id set.
+struct EmbeddedMachine {
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  struct Transition {
+    std::size_t from = 0, to = 0;
+    std::uint32_t t = 0, a = 0, b = 0;  // transition cube, start point, end point
+    // Next-state rules, filled when the code changes: for every changed
+    // input the sub-cube still missing that arrival, and the completion
+    // region (all compulsory arrivals in, don't-care windows free).
+    std::vector<std::uint32_t> waiting;
+    std::uint32_t completion = kNone;
+    // Feedback settling, when the code changes in exactly one bit: the
+    // inputs at the burst's end point while the state bits travel from
+    // the old code to the new one.
+    std::uint32_t settle = kNone;
+  };
+  std::vector<Cube> cubes;
+  std::vector<Transition> transitions;
+};
 
-FunctionSpec build_function_spec(const ConcreteMachine& cm, const Encoding& enc,
-                                 bool state_bit, std::size_t index, std::string name) {
+EmbeddedMachine embed_machine(const ConcreteMachine& cm, const Encoding& enc) {
+  const std::size_t ni = cm.input_names.size();
+  const std::size_t vars = ni + enc.bits;
+  EmbeddedMachine out;
+  CubeSet pool;
+  auto id = [&](const Cube& c) { return static_cast<std::uint32_t>(pool.id(c)); };
+  out.transitions.reserve(cm.transitions.size());
+  for (const auto& ct : cm.transitions) {
+    const std::uint32_t c = enc.code[ct.from], c2 = enc.code[ct.to];
+    EmbeddedMachine::Transition& e = out.transitions.emplace_back();
+    e.from = ct.from;
+    e.to = ct.to;
+    const Cube t = embed(ct.trans, vars, ni, enc.bits, c, c);
+    e.t = id(t);
+    e.a = id(embed(ct.start, vars, ni, enc.bits, c, c));
+    e.b = id(embed(ct.end, vars, ni, enc.bits, c, c));
+    if (c != c2) {
+      Cube completion = t;
+      for (std::size_t i = 0; i < ni; ++i) {
+        auto a = ct.start.get(i), b = ct.end.get(i);
+        if (a == Cube::V::kFree || b == Cube::V::kFree || a == b) continue;
+        completion.set(i, b);
+        e.waiting.push_back(id(t.with(i, a)));
+      }
+      e.completion = id(completion);
+    }
+    if (__builtin_popcount(c ^ c2) == 1)
+      e.settle = id(embed(ct.end, vars, ni, enc.bits, c, c2));
+  }
+  // Renumber the pool in ascending cube order.
+  const std::vector<Cube>& items = pool.items();
+  std::vector<std::uint32_t> order(items.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t x, std::uint32_t y) { return items[x] < items[y]; });
+  std::vector<std::uint32_t> rank(items.size());
+  out.cubes.reserve(items.size());
+  for (std::uint32_t k = 0; k < order.size(); ++k) {
+    rank[order[k]] = k;
+    out.cubes.push_back(items[order[k]]);
+  }
+  for (auto& e : out.transitions) {
+    for (std::uint32_t* x : {&e.t, &e.a, &e.b, &e.completion, &e.settle})
+      if (*x != EmbeddedMachine::kNone) *x = rank[*x];
+    for (auto& w : e.waiting) w = rank[w];
+  }
+  return out;
+}
+
+// The hazard-free specification of one function of the embedded machine.
+FunctionSpec function_spec(const ConcreteMachine& cm, const Encoding& enc,
+                           const EmbeddedMachine& em, bool state_bit, std::size_t index,
+                           std::string name) {
   FunctionSpec f;
   f.name = std::move(name);
-  const std::size_t ni = cm.input_names.size();
-  f.vars = ni + enc.bits;
+  f.vars = cm.input_names.size() + enc.bits;
 
   auto value_at = [&](std::size_t state) {
     return state_bit ? ((enc.code[state] >> index) & 1) != 0
                      : cm.states[state].outputs[index];
   };
 
-  for (const auto& ct : cm.transitions) {
-    std::uint32_t c = enc.code[ct.from], c2 = enc.code[ct.to];
-    Cube T = embed(ct.trans, f.vars, ni, enc.bits, c);
-    Cube A = embed(ct.start, f.vars, ni, enc.bits, c);
-    Cube B = embed(ct.end, f.vars, ni, enc.bits, c);
-    bool v = value_at(ct.from);
-    bool v2 = value_at(ct.to);
+  const std::size_t words = (em.cubes.size() + 63) / 64;
+  std::vector<Word> required(words, 0), off(words, 0);
+  for (const auto& e : em.transitions) {
+    const bool v = value_at(e.from);
+    const bool v2 = value_at(e.to);
 
     if (v && v2) {
-      f.required.push_back(T);
+      set_bit(required.data(), e.t);
     } else if (!v && !v2) {
-      f.off.push_back(T);
+      set_bit(off.data(), e.t);
     } else if (!state_bit) {
       // Mealy outputs change monotonically *during* the burst — the
       // classic dynamic-transition rules with the appropriate anchor.
-      if (!v && v2) {
-        f.off.push_back(A);
-        f.required.push_back(B);
-        f.dynamic.push_back(HfDynamic{T, A, B, HfType::kRise});
-      } else {
-        f.off.push_back(B);
-        f.required.push_back(A);
-        f.dynamic.push_back(HfDynamic{T, A, B, HfType::kFall});
-      }
+      const bool rise = !v && v2;
+      set_bit(off.data(), rise ? e.a : e.b);
+      set_bit(required.data(), rise ? e.b : e.a);
+      f.dynamic.push_back(HfDynamic{em.cubes[e.t], em.cubes[e.a], em.cubes[e.b],
+                                    rise ? HfType::kRise : HfType::kFall});
     } else {
       // Next-state excitation must hold its old value until the *complete*
-      // burst has arrived and change exactly then: for every changed input
-      // the sub-cube still missing that arrival keeps the old value, and
-      // the completion region (all compulsory arrivals in, don't-care
-      // windows free) takes the new one.
-      Cube completion = T;
-      std::vector<std::size_t> changed_vars;
-      for (std::size_t i = 0; i < ni; ++i) {
-        auto a = ct.start.get(i), b2 = ct.end.get(i);
-        if (a == Cube::V::kFree || b2 == Cube::V::kFree || a == b2) continue;
-        changed_vars.push_back(i);
-        completion.set(i, b2);
-      }
-      for (std::size_t i : changed_vars) {
-        Cube waiting = T;
-        waiting.set(i, ct.start.get(i));
-        if (v)
-          f.required.push_back(waiting);
-        else
-          f.off.push_back(waiting);
-      }
-      if (v2)
-        f.required.push_back(completion);
-      else
-        f.off.push_back(completion);
+      // burst has arrived and change exactly then: the waiting sub-cubes
+      // keep the old value, the completion region takes the new one.
+      for (std::uint32_t w : e.waiting) set_bit((v ? required : off).data(), w);
+      set_bit((v2 ? required : off).data(), e.completion);
     }
 
-    // Feedback settling: with the inputs at the burst's end point, the
-    // excitation must hold its new value while the state bits travel from
-    // the old code to the new one.  Exact for single-bit changes; a
-    // multi-bit change would have to hold over the whole code span, which
-    // the bipartite hypercube cannot always grant — those transitions are
-    // counted by the caller as declared race assumptions instead.
-    if (__builtin_popcount(c ^ c2) == 1) {
-      Cube settle = embed_span(ct.end, f.vars, ni, enc.bits, c, c2);
-      if (v2)
-        f.required.push_back(settle);
-      else
-        f.off.push_back(settle);
-    }
+    // Feedback settling: the excitation must hold its new value while the
+    // state bits travel.  Exact for single-bit changes; a multi-bit change
+    // would have to hold over the whole code span, which the bipartite
+    // hypercube cannot always grant — those transitions are counted by the
+    // caller as declared race assumptions instead.
+    if (e.settle != EmbeddedMachine::kNone)
+      set_bit((v2 ? required : off).data(), e.settle);
   }
 
   // No separate stable-state constraints: the resting point of every state
@@ -119,12 +163,20 @@ FunctionSpec build_function_spec(const ConcreteMachine& cm, const Encoding& enc,
   // cube would wrongly extend across burst-completion points, where the
   // function legitimately changes.)
 
-  // Deduplicate.
-  std::set<Cube> req(f.required.begin(), f.required.end());
-  f.required.assign(req.begin(), req.end());
-  std::set<Cube> off(f.off.begin(), f.off.end());
-  f.off.assign(off.begin(), off.end());
+  auto emit = [&](const std::vector<Word>& set, std::vector<Cube>& cubes) {
+    for_each_bit(set.data(), words,
+                         [&](std::size_t id) { cubes.push_back(em.cubes[id]); });
+  };
+  emit(required, f.required);
+  emit(off, f.off);
   return f;
+}
+
+}  // namespace
+
+FunctionSpec build_function_spec(const ConcreteMachine& cm, const Encoding& enc,
+                                 bool state_bit, std::size_t index, std::string name) {
+  return function_spec(cm, enc, embed_machine(cm, enc), state_bit, index, std::move(name));
 }
 
 namespace {
@@ -139,15 +191,15 @@ namespace {
 // distinct products are fixed up front and the pass works on their ids:
 // use counts are an array, validity is memoized per (function, id), and
 // each (function, id) gets a bitset of the function's checked requirements
-// the product contains, computed on first use.  A swap candidate `q` for
-// product `p` of function fi is acceptable exactly when it holds every
-// requirement only `p` covers (a bitset test against per-requirement cover
-// counts) and is a dhf implicant of fi.  Functions, products and candidate
-// functions are scanned in order, an accepted swap continues the scan in
-// place, and sweeps repeat until one makes no swap.
+// the product contains, computed on first use as the AND of the
+// requirement columns at the product's fixed variables.  A swap candidate
+// `q` for product `p` of function fi is acceptable exactly when it holds
+// every requirement only `p` covers (a bitset test against per-requirement
+// cover counts) and is a dhf implicant of fi.  Functions, products and
+// candidate functions are scanned in order, an accepted swap continues the
+// scan in place, and sweeps repeat until one makes no swap.
 void share_products(std::vector<FunctionLogic>& functions,
                     const std::vector<std::optional<CompiledSpec>>& specs) {
-  using Word = std::uint64_t;
   const std::size_t n_fn = functions.size();
 
   CubeSet distinct;
@@ -163,22 +215,25 @@ void share_products(std::vector<FunctionLogic>& functions,
 
   // Per function: the requirements that participate in the coverage check
   // (required cubes that are themselves valid implicants — the others are
-  // reported elsewhere), how many of its products contain each, and the
-  // lazily filled containment rows and validity verdicts per product id.
+  // reported elsewhere) stored by variable, how many of its products
+  // contain each, and the lazily filled containment rows and validity
+  // verdicts per product id.
   struct Fn {
-    std::vector<Cube> reqs;
-    std::size_t words = 0;
+    Columns reqs{{}, 0, 0};
     std::vector<int> cover_cnt;
-    std::vector<Word> rows;          // n_id * words
+    std::vector<Word> rows;          // n_id * reqs.words
     std::vector<std::int8_t> state;  // bit 0: row filled; bit 1: validity known; bit 2: valid
   };
   std::vector<Fn> fns(n_fn);
+  std::vector<Word> fixed;
   auto row = [&](std::size_t fi, std::size_t id) -> const Word* {
     Fn& f = fns[fi];
-    Word* r = f.rows.data() + id * f.words;
+    Word* r = f.rows.data() + id * f.reqs.words;
     if (!(f.state[id] & 1)) {
-      for (std::size_t ri = 0; ri < f.reqs.size(); ++ri)
-        if (cubes[id].contains(f.reqs[ri])) r[ri / 64] |= Word{1} << (ri % 64);
+      const Cube& p = cubes[id];
+      fixed.resize(p.word_count());
+      fixed_vars(p.words(), p.word_count(), fixed.data());
+      f.reqs.contained(p.words(), fixed.data(), p.word_count(), r);
       f.state[id] = static_cast<std::int8_t>(f.state[id] | 1);
     }
     return r;
@@ -189,19 +244,20 @@ void share_products(std::vector<FunctionLogic>& functions,
       st = static_cast<std::int8_t>(st | (specs[fi]->valid(cubes[id]) ? 6 : 2));
     return (st & 4) != 0;
   };
-  auto holds = [](const Word* r, std::size_t ri) { return (r[ri / 64] >> (ri % 64)) & 1; };
 
   for (std::size_t fi = 0; fi < n_fn; ++fi) {
     Fn& f = fns[fi];
-    for (const auto& r : specs[fi]->spec().required)
-      if (specs[fi]->valid(r)) f.reqs.push_back(r);
-    f.words = (f.reqs.size() + 63) / 64;
-    f.cover_cnt.assign(f.reqs.size(), 0);
-    f.rows.assign(n_id * f.words, 0);
+    const FunctionSpec& spec = specs[fi]->spec();
+    std::vector<const Cube*> reqs;
+    for (const auto& r : spec.required)
+      if (specs[fi]->valid(r)) reqs.push_back(&r);
+    f.reqs = Columns(reqs, spec.vars, (spec.vars + Cube::kBitsPerWord - 1) / Cube::kBitsPerWord);
+    f.cover_cnt.assign(f.reqs.n, 0);
+    f.rows.assign(n_id * f.reqs.words, 0);
     f.state.assign(n_id, 0);
     for (std::size_t id : prods[fi]) {
       const Word* r = row(fi, id);
-      for (std::size_t ri = 0; ri < f.reqs.size(); ++ri) f.cover_cnt[ri] += holds(r, ri);
+      for (std::size_t ri = 0; ri < f.reqs.n; ++ri) f.cover_cnt[ri] += test_bit(r, ri);
     }
   }
 
@@ -215,10 +271,10 @@ void share_products(std::vector<FunctionLogic>& functions,
         const std::size_t p = prods[fi][pi];
         if (use_count[p] > 1) continue;  // already shared
         const Word* prow = row(fi, p);
-        sole.assign(f.words, 0);
-        for (std::size_t ri = 0; ri < f.reqs.size(); ++ri)
-          if (f.cover_cnt[ri] == static_cast<int>(holds(prow, ri)))
-            sole[ri / 64] |= Word{1} << (ri % 64);
+        sole.assign(f.reqs.words, 0);
+        for (std::size_t ri = 0; ri < f.reqs.n; ++ri)
+          if (f.cover_cnt[ri] == static_cast<int>(test_bit(prow, ri)))
+            set_bit(sole.data(), ri);
         bool swapped = false;
         for (std::size_t gi = 0; gi < n_fn && !swapped; ++gi) {
           if (gi == fi) continue;
@@ -226,13 +282,13 @@ void share_products(std::vector<FunctionLogic>& functions,
             if (q == p) continue;
             const Word* qrow = row(fi, q);
             bool ok = true;
-            for (std::size_t w = 0; w < f.words && ok; ++w) ok = !(sole[w] & ~qrow[w]);
+            for (std::size_t w = 0; w < f.reqs.words && ok; ++w) ok = !(sole[w] & ~qrow[w]);
             if (!ok || !valid_for(fi, q)) continue;
             --use_count[p];
             ++use_count[q];
-            for (std::size_t ri = 0; ri < f.reqs.size(); ++ri)
-              f.cover_cnt[ri] += static_cast<int>(holds(qrow, ri)) -
-                                 static_cast<int>(holds(prow, ri));
+            for (std::size_t ri = 0; ri < f.reqs.n; ++ri)
+              f.cover_cnt[ri] += static_cast<int>(test_bit(qrow, ri)) -
+                                 static_cast<int>(test_bit(prow, ri));
             prods[fi][pi] = q;
             swapped = true;
             changed = true;
@@ -272,6 +328,7 @@ LogicSynthesisResult synthesize_impl(const Xbm& m, const SignalBindings* binding
   std::vector<std::optional<CompiledSpec>> compiled(n_fn);
   std::vector<std::vector<std::string>> fn_issues(n_fn);
   res.functions.resize(n_fn);
+  const EmbeddedMachine embedded = embed_machine(res.machine, res.encoding);
 
   auto run = [&](std::size_t fi) {
     const bool state_bit = fi >= n_out;
@@ -279,8 +336,8 @@ LogicSynthesisResult synthesize_impl(const Xbm& m, const SignalBindings* binding
     std::string name =
         state_bit ? "Y" + std::to_string(index) : res.machine.output_names[index];
     obs::TraceSpan span(opts.trace, "fn:" + name, "logic");
-    specs[fi] =
-        build_function_spec(res.machine, res.encoding, state_bit, index, std::move(name));
+    specs[fi] = function_spec(res.machine, res.encoding, embedded, state_bit, index,
+                              std::move(name));
     const CompiledSpec& spec = compiled[fi].emplace(specs[fi]);
     CoverResult cover = minimize_hazard_free(spec, opts.cover);
     if (span.active()) {

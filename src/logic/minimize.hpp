@@ -50,7 +50,10 @@ struct LogicSynthesisResult {
   std::size_t literal_count(bool share_products) const;
 };
 
-// Builds the per-function hazard-free specification; exposed for tests.
+// Builds one function's hazard-free specification; exposed for tests and
+// benches.  It embeds the controller's transition cubes for this call
+// alone: synthesize_logic embeds them once and builds every function's
+// specification from that one embedding, through the same code.
 FunctionSpec build_function_spec(const ConcreteMachine& cm, const Encoding& enc,
                                  bool state_bit, std::size_t index, std::string name);
 

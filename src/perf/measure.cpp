@@ -160,7 +160,10 @@ std::vector<BenchRecord> measure_group(const std::vector<Benchmark>& group,
       for (unsigned i = 0; i < warmup; ++i)
         for (std::size_t k = 0; k < group.size(); ++k) group[k].run(sh->ctx[k]);
       for (unsigned i = 0; i < repeats; ++i)
-        for (std::size_t k = 0; k < group.size(); ++k) {
+        for (std::size_t j = 0; j < group.size(); ++j) {
+          // Odd rounds run the group backwards, so no benchmark always
+          // takes the same position.
+          const std::size_t k = i % 2 ? group.size() - 1 - j : j;
           BenchContext& ctx = sh->ctx[k];
           ctx.counters.clear();
           ctx.stages.clear();

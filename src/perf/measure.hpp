@@ -97,11 +97,13 @@ struct MeasureOptions {
 
 // Warmup + timed repeats of a group of benchmarks: the warmups alternate
 // (a, b, a, b, ...), then each round times one iteration of every
-// benchmark in order.  A group of two is how ratio gates are measured:
-// slow in-process drift — allocator growth, CPU frequency, cache state —
-// then lands on both sides of the ratio equally rather than on whichever
+// benchmark, in order on even rounds and in reverse on odd ones (a b, b a,
+// a b, ...).  A group of two is how ratio gates are measured: slow
+// in-process drift — allocator growth, CPU frequency, cache state — then
+// lands on both sides of the ratio equally rather than on whichever
 // benchmark happens to run later, which is worth several percent of
-// systematic skew on a busy 1-core container.  opts.deadline_ms bounds the
+// systematic skew on a busy 1-core container; the reversal cancels the
+// bias of running first or second within a round.  opts.deadline_ms bounds the
 // whole group; a timeout or exception marks every record of it.  When
 // `wall_samples` is given and the group completed, it receives each
 // benchmark's timed wall samples (microseconds) untrimmed and in round

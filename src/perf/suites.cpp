@@ -260,6 +260,22 @@ void register_logic() {
     ctx.counters["literals"] = static_cast<double>(lits);
     ctx.counters["memo_hits"] = static_cast<double>(memo->stats().hits);
   });
+  add("logic", "logic.memo_evict", [](BenchContext& ctx) {
+    // A full memo under a stream of new keys: 10,000 fills at the default
+    // capacity of 4096, so all but the first 4096 evict.  Times the memo's
+    // bookkeeping alone, which an eviction scan over the map would make
+    // quadratic.
+    static const std::vector<Fingerprint> keys = [] {
+      std::vector<Fingerprint> v;
+      for (std::uint64_t i = 0; i < 10000; ++i)
+        v.push_back(FingerprintBuilder().add("memo-evict").add(i).digest());
+      return v;
+    }();
+    auto entry = std::make_shared<const LogicMemo::Entry>();
+    LogicMemo memo(4096);
+    for (const auto& k : keys) memo.fill(k, entry);
+    ctx.counters["evictions"] = static_cast<double>(memo.stats().evictions);
+  });
 }
 
 void register_sim() {

@@ -466,6 +466,7 @@ std::vector<std::pair<const char*, std::int64_t>> FlowExecutor::gauge_values()
       {"logic.memo.hits", n(ms.hits)},
       {"logic.memo.misses", n(ms.misses)},
       {"logic.memo.fills", n(ms.fills)},
+      {"logic.memo.evictions", n(ms.evictions)},
       {"logic.memo.entries", n(ms.entries)}};
   if (disk_) {
     // One stats() read: disk.hits and disk.misses from the same instant.

@@ -319,10 +319,11 @@ void ServeServer::register_instruments() {
       {{"logic.memo.hits", {}, "cover-memo replays"},
        {"logic.memo.misses", {}, "cover-memo lookups that ran the minimizer"},
        {"logic.memo.fills", {}, "covers computed and stored in the memo"},
+       {"logic.memo.evictions", {}, "least recently used memo entries dropped at capacity"},
        {"logic.memo.entries", {}, "memo entries resident in memory"}},
       [this] {
         LogicMemo::Stats ms = exec_->logic_memo().stats();
-        return gauge_values(ms.hits, ms.misses, ms.fills, ms.entries);
+        return gauge_values(ms.hits, ms.misses, ms.fills, ms.evictions, ms.entries);
       });
   // Design-space explainability (analysis/grid.hpp): the live Pareto
   // frontier over (control area x cycle time) across every simulated ok

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+
 #include "logic/memo.hpp"
 
 namespace adc {
@@ -95,6 +98,71 @@ TEST(LogicMemoTest, LruEvictsAtCapacityAndZeroCapacityDisables) {
   off.fill(k1, entry);
   EXPECT_EQ(off.lookup(k1), nullptr);
   EXPECT_EQ(off.stats().entries, 0u);
+}
+
+// The recency list must pick the victim the original min-tick scan picked:
+// every lookup hit and every fill of a resident key stamps the key with a
+// fresh tick, and eviction removes the smallest stamp.  Random sequences
+// over a small key universe at small capacities exercise refills of
+// resident keys, hits, misses and eviction chains; entry identity shows
+// that a resident key keeps its first value.
+TEST(LogicMemoTest, EvictionMatchesAMinTickReference) {
+  struct Model {
+    std::uint64_t tick = 0;
+    std::map<int, std::pair<std::uint64_t, const LogicMemo::Entry*>> slots;
+    LogicMemo::Stats stats;
+  };
+  std::vector<Fingerprint> keys;
+  for (int k = 0; k < 9; ++k)
+    keys.push_back(FingerprintBuilder().add("key").add(std::uint64_t(k)).digest());
+
+  std::size_t resident_fills = 0;
+  for (std::size_t capacity : {1u, 2u, 3u, 5u}) {
+    for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+      std::mt19937 rng(seed * 7919u + static_cast<std::uint32_t>(capacity));
+      LogicMemo memo(capacity);
+      Model ref;
+      for (int step = 0; step < 400; ++step) {
+        const int k = static_cast<int>(rng() % keys.size());
+        auto it = ref.slots.find(k);
+        if (rng() % 2) {
+          auto got = memo.lookup(keys[k]);
+          if (it != ref.slots.end()) {
+            it->second.first = ++ref.tick;
+            ++ref.stats.hits;
+            ASSERT_EQ(got.get(), it->second.second) << "seed " << seed << " step " << step;
+          } else {
+            ++ref.stats.misses;
+            ASSERT_EQ(got, nullptr) << "seed " << seed << " step " << step;
+          }
+        } else {
+          auto entry = std::make_shared<const LogicMemo::Entry>();
+          memo.fill(keys[k], entry);
+          ++ref.stats.fills;
+          if (it != ref.slots.end()) {
+            it->second.first = ++ref.tick;
+            ++resident_fills;
+          } else {
+            ref.slots.emplace(k, std::make_pair(++ref.tick, entry.get()));
+            while (ref.slots.size() > capacity) {
+              auto victim = ref.slots.begin();
+              for (auto s = ref.slots.begin(); s != ref.slots.end(); ++s)
+                if (s->second.first < victim->second.first) victim = s;
+              ref.slots.erase(victim);
+              ++ref.stats.evictions;
+            }
+          }
+        }
+        const LogicMemo::Stats got = memo.stats();
+        ASSERT_EQ(got.hits, ref.stats.hits);
+        ASSERT_EQ(got.misses, ref.stats.misses);
+        ASSERT_EQ(got.fills, ref.stats.fills);
+        ASSERT_EQ(got.evictions, ref.stats.evictions);
+        ASSERT_EQ(got.entries, ref.slots.size());
+      }
+    }
+  }
+  EXPECT_GT(resident_fills, 1000u);
 }
 
 }  // namespace

@@ -325,7 +325,7 @@ TEST(PerfMeasure, GroupAlternatesAndMarksEveryRecordOnFailure) {
   opts.warmup = 1;
   opts.repeats = 3;
   std::vector<BenchRecord> recs = measure_group({a, b}, opts);
-  EXPECT_EQ(calls, "abababab");  // 1 warmup round + 3 timed rounds
+  EXPECT_EQ(calls, "ababbaab");  // 1 warmup round + 3 timed rounds, odd ones reversed
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].name, "t.a");
   EXPECT_EQ(recs[1].name, "t.b");
