@@ -8,7 +8,6 @@
 // the requests fan across a work-stealing pool and recipes sharing script
 // prefixes reuse cached stages instead of recomputing them.
 
-#include "area/area_model.hpp"
 #include "common.hpp"
 #include "runtime/flow.hpp"
 

@@ -42,19 +42,16 @@ ChainRef chain_ref(const CriticalChain& c) {
   return r;
 }
 
+// The area model's view of one synthesized controller.
+ControllerArea area_of(const ControllerMetrics& m) {
+  return ControllerArea{m.name, m.products, m.literals, m.state_bits, m.outputs};
+}
+
 }  // namespace
 
 std::size_t point_area_transistors(const FlowPoint& p) {
   std::size_t total = 0;
-  for (const auto& m : p.controllers) {
-    ControllerArea a;
-    a.name = m.name;
-    a.products = m.products;
-    a.literals = m.literals;
-    a.state_bits = m.state_bits;
-    a.outputs = m.outputs;
-    total += a.transistor_estimate();
-  }
+  for (const auto& m : p.controllers) total += area_of(m).transistor_estimate();
   return total + 6 * p.channels;
 }
 
@@ -68,16 +65,9 @@ PointProfile build_point_profile(const FlowPoint& p, std::size_t index) {
   out.cycle_time = p.latency;
   out.recipe = recipe_steps(p.script);
 
-  for (const auto& m : p.controllers) {
-    ControllerArea a;
-    a.name = m.name;
-    a.products = m.products;
-    a.literals = m.literals;
-    a.state_bits = m.state_bits;
-    a.outputs = m.outputs;
-    out.area.push_back({m.name, m.products, m.literals, m.state_bits,
-                        m.outputs, a.transistor_estimate()});
-  }
+  for (const auto& m : p.controllers)
+    out.area.push_back({m.name, m.products, m.literals, m.state_bits, m.outputs,
+                        area_of(m).transistor_estimate()});
   out.channels = p.channels;
   out.area_transistors = point_area_transistors(p);
 

@@ -6,33 +6,4 @@ std::size_t ControllerArea::transistor_estimate() const {
   return 2 * literals + 2 * products + 8 * state_bits + 4 * outputs;
 }
 
-std::size_t SystemArea::total_products() const {
-  std::size_t n = 0;
-  for (const auto& c : controllers) n += c.products;
-  return n;
-}
-
-std::size_t SystemArea::total_literals() const {
-  std::size_t n = 0;
-  for (const auto& c : controllers) n += c.literals;
-  return n;
-}
-
-std::size_t SystemArea::total_transistors() const {
-  std::size_t n = 0;
-  for (const auto& c : controllers) n += c.transistor_estimate();
-  return n + 6 * global_wires;  // transition detectors on the ready wires
-}
-
-ControllerArea controller_area(const std::string& name, const GateStats& stats,
-                               std::size_t outputs) {
-  ControllerArea a;
-  a.name = name;
-  a.products = stats.products_shared;
-  a.literals = stats.literals_shared;
-  a.state_bits = stats.state_bits;
-  a.outputs = outputs;
-  return a;
-}
-
 }  // namespace adc

@@ -1,16 +1,12 @@
 #pragma once
-// Area and performance estimates for a synthesized system, used by the
-// benches' summary rows.  Two-level logic area follows the usual SIS-style
+// Area estimate of a synthesized controller, used by the DSE profiles
+// (analysis/build.hpp).  Two-level logic area follows the usual SIS-style
 // accounting: each literal costs two transistors in the AND plane, each
 // product one OR-plane input per function it feeds, plus one C-element /
 // flip-flop per state bit and a keeper per output.
 
 #include <cstddef>
 #include <string>
-#include <vector>
-
-#include "channel/channel.hpp"
-#include "logic/stats.hpp"
 
 namespace adc {
 
@@ -24,17 +20,5 @@ struct ControllerArea {
   // + 8 per feedback latch + 4 per output keeper.
   std::size_t transistor_estimate() const;
 };
-
-struct SystemArea {
-  std::vector<ControllerArea> controllers;
-  std::size_t global_wires = 0;
-
-  std::size_t total_products() const;
-  std::size_t total_literals() const;
-  std::size_t total_transistors() const;
-};
-
-ControllerArea controller_area(const std::string& name, const GateStats& stats,
-                               std::size_t outputs);
 
 }  // namespace adc

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 
 #include "logic/columns.hpp"
 #include "runtime/thread_pool.hpp"
@@ -363,6 +362,18 @@ LogicSynthesisResult synthesize_impl(const Xbm& m, const SignalBindings* binding
   return res;
 }
 
+// The products of all functions, each shared product once (in Cube order).
+std::vector<Cube> distinct_products(const std::vector<FunctionLogic>& functions) {
+  std::vector<Cube> out;
+  for (const auto& f : functions)
+    out.insert(out.end(), f.products.begin(), f.products.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const Cube& a, const Cube& b) { return !(a < b); }),
+            out.end());
+  return out;
+}
+
 }  // namespace
 
 LogicSynthesisResult synthesize_logic(const ExtractedController& c,
@@ -375,29 +386,20 @@ LogicSynthesisResult synthesize_logic(const Xbm& m, const SynthesisOptions& opts
 }
 
 std::size_t LogicSynthesisResult::product_count(bool share_products) const {
-  if (!share_products) {
-    std::size_t n = 0;
-    for (const auto& f : functions) n += f.products.size();
-    return n;
-  }
-  std::set<Cube> distinct;
-  for (const auto& f : functions)
-    for (const auto& p : f.products) distinct.insert(p);
-  return distinct.size();
+  if (share_products) return distinct_products(functions).size();
+  std::size_t n = 0;
+  for (const auto& f : functions) n += f.products.size();
+  return n;
 }
 
 std::size_t LogicSynthesisResult::literal_count(bool share_products) const {
-  if (!share_products) {
-    std::size_t n = 0;
-    for (const auto& f : functions)
-      for (const auto& p : f.products) n += p.literal_count();
+  std::size_t n = 0;
+  if (share_products) {
+    for (const auto& p : distinct_products(functions)) n += p.literal_count();
     return n;
   }
-  std::set<Cube> distinct;
   for (const auto& f : functions)
-    for (const auto& p : f.products) distinct.insert(p);
-  std::size_t n = 0;
-  for (const auto& p : distinct) n += p.literal_count();
+    for (const auto& p : f.products) n += p.literal_count();
   return n;
 }
 

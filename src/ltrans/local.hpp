@@ -37,9 +37,6 @@ struct LocalTransformOptions {
   bool lt2_move_down_resets = true;
   bool lt3_mux_preselection = true;
   bool lt4_remove_acks = true;
-  // Timing assumption: the FU's done indicator resets promptly once the go
-  // request is withdrawn, so its falling phase needs no explicit wait.
-  bool lt4_remove_fudone_reset = true;
   bool lt5_signal_sharing = true;
 };
 
@@ -56,7 +53,7 @@ LocalTransformResult run_local_transforms(ExtractedController& c,
 int lt1_move_up(Xbm& m, const SignalBindings& b);
 int lt2_move_down(Xbm& m, const SignalBindings& b);
 int lt3_mux_preselection(Xbm& m, const SignalBindings& b);
-int lt4_remove_acks(Xbm& m, const SignalBindings& b, const LocalTransformOptions& opts);
+int lt4_remove_acks(Xbm& m, const SignalBindings& b);
 int lt5_signal_sharing(Xbm& m, const SignalBindings& b,
                        std::vector<std::pair<std::string, std::string>>& shared);
 

@@ -48,7 +48,7 @@ LocalTransformResult run_local_transforms(ExtractedController& c,
     check("LT1");
   }
   if (opts.lt4_remove_acks) {
-    int n = lt4_remove_acks(m, b, opts);
+    int n = lt4_remove_acks(m, b);
     if (n) {
       res.stats.note("LT4 removed " + std::to_string(n) + " acknowledge edge(s)");
       res.stats.decide("lt4", "ack_edges_removed")

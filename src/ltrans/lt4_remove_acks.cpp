@@ -322,8 +322,7 @@ int fold_trivial_transitions(Xbm& m, const SignalBindings* bindings) {
   return folded;
 }
 
-int lt4_remove_acks(Xbm& m, const SignalBindings& b, const LocalTransformOptions& opts) {
-  (void)opts;
+int lt4_remove_acks(Xbm& m, const SignalBindings& b) {
   int removed_edges = 0;
   for (TransitionId tid : m.transition_ids()) {
     XbmTransition& t = m.transition(tid);

@@ -363,7 +363,6 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
                                    .add(lt.lt2_move_down_resets)
                                    .add(lt.lt3_mux_preselection)
                                    .add(lt.lt4_remove_acks)
-                                   .add(lt.lt4_remove_fudone_reset)
                                    .add(lt.lt5_signal_sharing)
                                    .digest();
     // LT + two-level logic of one controller: a pure function of the

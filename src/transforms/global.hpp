@@ -47,8 +47,6 @@ struct Gt3Options {
   // Required slack (time units) between the removed constraint's event and
   // the destination's firing, in every observed execution.
   std::int64_t margin = 1;
-  // Loop iterations exercised by the data-independent timing harness.
-  int harness_iterations = 6;
   bool only_inter_controller = true;
 };
 
@@ -57,18 +55,18 @@ struct Gt3Options {
 // Two-stage proof, run on the graph with the candidate removed:
 //  1. structural: the candidate's source provably precedes the source of a
 //     remaining incoming arc (pure precedence, delay-independent);
-//  2. timing verification: a data-independent timing harness simulates the
-//     relaxed system under the delay model (the all-max and all-min corners,
-//     then `samples` seeded randomized assignments) and checks that the
-//     candidate's event always arrives `margin` before the destination
-//     fires.  The relaxed graph is compiled into one TokenSimModel per
-//     candidate and every trial runs over it; a TokenSimWatch on the
-//     source's completions and the destination's firings stops a trial at
-//     the first late arrival, and the first failing trial keeps the arc.
-//     A trial that deadlocks or runs away keeps it too.  This mirrors the
-//     paper's "detailed timing analysis must be performed": the result is
-//     valid exactly under the declared delay model, which is the nature of
-//     a relative-timing assumption.
+//  2. timing verification: the data-independent timing harness
+//     (timing_harness.hpp) simulates the relaxed system under the delay model
+//     (the all-max and all-min corners, then `samples` seeded randomized
+//     assignments) and checks that the candidate's event always arrives
+//     `margin` before the destination fires.  The relaxed graph is compiled
+//     into one TokenSimModel per candidate and every trial runs over it; a
+//     TokenSimWatch on the source's completions and the destination's firings
+//     stops a trial at the first late arrival, and the first failing trial
+//     keeps the arc.  A trial that deadlocks or runs away keeps it too.  This
+//     mirrors the paper's "detailed timing analysis must be performed": the
+//     result is valid exactly under the declared delay model, which is the
+//     nature of a relative-timing assumption.
 TransformResult gt3_relative_timing(Cdfg& g, const DelayModel& delays,
                                     const Gt3Options& opts = {});
 

@@ -1,8 +1,8 @@
 #include <algorithm>
 
 #include "cdfg/analysis.hpp"
-#include "sim/token_sim.hpp"
 #include "transforms/global.hpp"
+#include "transforms/timing_harness.hpp"
 
 namespace adc {
 
@@ -84,10 +84,7 @@ bool timing_covered(const Cdfg& g, const Arc& u, const DelayModel& delays,
     return watch.covered(model.run({}, simopts, &watch));
   };
 
-  TokenSimOptions base;
-  base.forced_loop_iterations = opts.harness_iterations;
-  base.check_wire_discipline = false;  // the harness measures time, not protocol
-
+  const TokenSimOptions base = timing_harness_options();
   TokenSimOptions corner = base;
   corner.randomize_delays = false;
   corner.all_min_delays = false;

@@ -34,9 +34,10 @@ struct Gt5Options {
   bool multiplex = true;
   bool symmetrize = true;
   bool concurrency_reduction = false;
-  // Concurrency reduction consults the timing analysis and accepts a
-  // reroute only when the steady-state completion time grows by at most
-  // this many time units (0 = only reroute constraints with full slack).
+  // Concurrency reduction runs the timing harness (timing_harness.hpp)
+  // at the all-max delay corner before and after a reroute, and accepts it
+  // only when both runs complete and the finish time grows by at most this
+  // many time units (0 = only reroute constraints with full slack).
   std::int64_t max_period_increase = 0;
   DelayModel delays = DelayModel::typical();
 };

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "cdfg/analysis.hpp"
 #include "transforms/concurrency.hpp"
-#include "transforms/timing_analysis.hpp"
+#include "transforms/timing_harness.hpp"
 
 namespace adc {
 
@@ -43,21 +44,15 @@ bool is_first_of_cycle(const Cdfg& g, NodeId n) {
   return false;
 }
 
-// Steady-state completion proxy used by the concurrency-reduction slack
-// check: the latest completion over all nodes in the last unrolled copy in
-// which they exist.
-std::int64_t steady_latest(const Cdfg& g, const DelayModel& delays) {
-  UnrolledTiming t(g, delays, 4);
-  std::int64_t worst = 0;
-  for (NodeId n : g.node_ids()) {
-    for (int copy = t.unroll() - 1; copy >= 0; --copy) {
-      if (auto c = t.completion(n, copy)) {
-        worst = std::max(worst, c->latest);
-        break;
-      }
-    }
-  }
-  return worst;
+// The period the concurrency-reduction check bounds: the finish time of one
+// all-max-delay run of the timing harness.  A run that does not complete (a
+// deadlock, or a forward cycle a reroute closed) has no period.
+std::optional<std::int64_t> harness_period(const Cdfg& g, const DelayModel& delays) {
+  TokenSimOptions o = timing_harness_options();
+  o.randomize_delays = false;
+  const TokenSimResult r = TokenSimModel(g, delays).run({}, o);
+  if (!r.completed) return std::nullopt;
+  return r.finish_time;
 }
 
 }  // namespace
@@ -170,7 +165,8 @@ bool try_symmetrize(Cdfg& g, ChannelPlan& plan, std::size_t big, std::size_t sma
 
 bool try_concurrency_reduction(Cdfg& g, ChannelPlan& plan, ArcId direct,
                                const Gt5Options& opts, TransformResult* stats) {
-  Arc& d = g.arc(direct);
+  // A copy: add_arc below may reallocate the arc storage.
+  const Arc d = g.arc(direct);
   if (!d.alive) return false;
   NodeId a = d.src, c = d.dst;
   if (g.node(a).fu == g.node(c).fu) return false;
@@ -186,7 +182,8 @@ bool try_concurrency_reduction(Cdfg& g, ChannelPlan& plan, ArcId direct,
   }
   if (direct_idx == plan.channels().size()) return false;
 
-  std::int64_t before = steady_latest(g, opts.delays);
+  const std::optional<std::int64_t> before = harness_period(g, opts.delays);
+  if (!before) return false;
 
   for (ArcId mid : g.out_arcs(a)) {
     if (mid == direct) continue;
@@ -199,9 +196,10 @@ bool try_concurrency_reduction(Cdfg& g, ChannelPlan& plan, ArcId direct,
 
     ArcId bc = g.add_arc(b, c, ArcRole::kControl, new_offset == 1);
     g.arc(bc).tag = "GT5.2";
-    d.alive = false;
+    g.arc(direct).alive = false;
 
-    bool ok = steady_latest(g, opts.delays) - before <= opts.max_period_increase;
+    const std::optional<std::int64_t> after = harness_period(g, opts.delays);
+    bool ok = after && *after - *before <= opts.max_period_increase;
     if (ok) {
       // The new arc becomes a candidate channel; it must merge onto an
       // existing channel from b's FU or the reroute gains nothing.
@@ -242,7 +240,7 @@ bool try_concurrency_reduction(Cdfg& g, ChannelPlan& plan, ArcId direct,
     }
     // Roll back.
     g.remove_arc(bc);
-    d.alive = true;
+    g.arc(direct).alive = true;
   }
   return false;
 }

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cdfg/analysis.hpp"
 #include "frontend/benchmarks.hpp"
 #include "frontend/builder.hpp"
+#include "runtime/flow.hpp"
 #include "sim/token_sim.hpp"
 #include "transforms/global.hpp"
 #include "transforms/gt5.hpp"
@@ -170,6 +172,38 @@ TEST(Gt5, ConcurrencyReductionFigure8Mechanics) {
   EXPECT_TRUE(r.completed) << r.error;
   // a = 5, m = 10, z1 = 13, z2 = 18.
   EXPECT_EQ(r.registers.at("z2"), 18);
+}
+
+// A reroute that closes a forward cycle has no period: the harness run after
+// it deadlocks, so the reroute is refused and the graph stays schedulable.
+TEST(Gt5, ConcurrencyReductionNeverClosesAForwardCycle) {
+  for (const char* name : {"ewf_lite", "ewf"}) {
+    const BuiltinBenchmark* b = find_builtin(name);
+    ASSERT_NE(b, nullptr);
+    Cdfg g = b->make();
+    TransformScript::parse("gt1; gt5(concred)").run(g);
+    EXPECT_TRUE(forward_topo_order(g).has_value()) << name;
+    auto r = run_token_sim(g, b->init);
+    EXPECT_TRUE(r.completed) << name << ": " << r.error;
+    EXPECT_EQ(r.registers, run_sequential(b->make(), b->init)) << name;
+  }
+}
+
+// The paper's recipe with a period budget: the whole flow completes and
+// computes what the sequential program does.
+TEST(Gt5, BoundedConcurrencyReductionKeepsTheFlowCorrect) {
+  const BuiltinBenchmark* b = find_builtin("ewf_lite");
+  ASSERT_NE(b, nullptr);
+  FlowExecutor exec(nullptr);
+  FlowPoint p =
+      exec.run(make_builtin_request(*b, "gt1; gt2; gt3; gt4; gt2; gt5(maxperiod=200); lt"));
+  EXPECT_EQ(p.status, FlowStatus::kOk) << p.error;
+  const auto gold = run_sequential(b->make(), b->init);
+  for (const auto& [reg, value] : gold) {
+    auto it = p.sim_registers.find(reg);
+    ASSERT_NE(it, p.sim_registers.end()) << reg;
+    EXPECT_EQ(it->second, value) << reg;
+  }
 }
 
 TEST(Gt5, SymmetrizationFigure9Mechanics) {

@@ -88,8 +88,7 @@ TEST(Ltrans, Lt1MovesDonesToTheLatchTransition) {
 TEST(Ltrans, Lt4RemovesAllLocalAckEdges) {
   System s = diffeq_gt();
   auto& alu1 = by_name(s, "ALU1");
-  LocalTransformOptions opts;
-  int removed = lt4_remove_acks(alu1.machine, alu1.bindings, opts);
+  int removed = lt4_remove_acks(alu1.machine, alu1.bindings);
   EXPECT_GT(removed, 0);
   for (TransitionId t : alu1.machine.transition_ids())
     for (const auto& e : alu1.machine.transition(t).inputs) {

@@ -42,28 +42,5 @@ TEST(Area, TransistorEstimateMonotone) {
   EXPECT_LT(small.transistor_estimate(), big.transistor_estimate());
 }
 
-TEST(Area, SystemTotalsAggregate) {
-  SystemArea sys;
-  sys.controllers.push_back(ControllerArea{"a", 10, 30, 3, 5});
-  sys.controllers.push_back(ControllerArea{"b", 20, 60, 4, 8});
-  sys.global_wires = 5;
-  EXPECT_EQ(sys.total_products(), 30u);
-  EXPECT_EQ(sys.total_literals(), 90u);
-  EXPECT_EQ(sys.total_transistors(),
-            sys.controllers[0].transistor_estimate() +
-                sys.controllers[1].transistor_estimate() + 30u);
-}
-
-TEST(Area, ControllerAreaFromGateStats) {
-  GateStats st;
-  st.products_shared = 12;
-  st.literals_shared = 40;
-  st.state_bits = 4;
-  auto a = controller_area("ALU1", st, 9);
-  EXPECT_EQ(a.products, 12u);
-  EXPECT_EQ(a.literals, 40u);
-  EXPECT_EQ(a.outputs, 9u);
-}
-
 }  // namespace
 }  // namespace adc
