@@ -20,8 +20,8 @@ void show_fragment(const Cdfg& g, const Xbm& m, const char* title) {
   for (TransitionId tid : m.transition_ids()) {
     const auto& t = m.transition(tid);
     if (t.origin != node) continue;
-    std::printf("  %-6s -> %-6s  %s", m.state(t.from).name.c_str(),
-                m.state(t.to).name.c_str(), burst_to_string(m, t).c_str());
+    std::printf("  %-6s -> %-6s  %s", m.state(t.from()).name.c_str(),
+                m.state(t.to()).name.c_str(), burst_to_string(m, t).c_str());
     if (!t.note.empty()) std::printf("   ; %s", t.note.c_str());
     std::printf("\n");
   }

@@ -79,9 +79,17 @@ PointProfile build_point_profile(const FlowPoint& p, std::size_t index) {
     out.by_phase = cp.by_phase;
     out.by_controller = cp.by_controller;
     out.by_channel = cp.by_channel;
-    for (const auto& s : cp.segments) {
+    // One map update per run of segments with the same controller and
+    // phase, not per segment.
+    for (std::size_t i = 0; i < cp.segments.size();) {
+      const CriticalSegment& s = cp.segments[i];
+      std::int64_t ticks = 0;
+      for (; i < cp.segments.size() && cp.segments[i].phase == s.phase &&
+             cp.segments[i].controller == s.controller;
+           ++i)
+        ticks += cp.segments[i].duration();
       std::string ctrl = s.controller.empty() ? "(channels)" : s.controller;
-      out.by_controller_phase[ctrl + "/" + to_string(s.phase)] += s.duration();
+      out.by_controller_phase[ctrl + "/" + to_string(s.phase)] += ticks;
     }
     auto chains = cp.top_chains(5);
     for (const auto& c : chains) out.top_chains.push_back(chain_ref(c));

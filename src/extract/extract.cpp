@@ -150,7 +150,7 @@ ControllerBuilder::BranchEnds ControllerBuilder::branch(const std::string& cond_
   for (TransitionId t : last_) {
     // Copy the fields first: add_transition may reallocate the storage.
     XbmTransition snapshot = m_.transition(t);
-    TransitionId copy = m_.add_transition(snapshot.from, snapshot.to, snapshot.inputs,
+    TransitionId copy = m_.add_transition(snapshot.from(), snapshot.to(), snapshot.inputs,
                                           snapshot.outputs, snapshot.conds);
     m_.transition(copy).origin = snapshot.origin;
     m_.transition(copy).note = snapshot.note + " (test not taken)";
@@ -279,8 +279,8 @@ ExtractedController ControllerBuilder::build(const ExtractOptions& opts) {
     }
     BranchEnds test = branch(loop.cond_reg, *loop_root, test_waits);
     for (TransitionId t : test.taken) {
+      m_.set_to(t, s_body);
       XbmTransition& tr = m_.transition(t);
-      tr.to = s_body;
       for (const auto& e : broadcast) tr.outputs.push_back(e);
       for (const auto& e : pending_entry_outputs_) tr.outputs.push_back(e);
       tr.note += " [loop again]";
@@ -289,8 +289,8 @@ ExtractedController ControllerBuilder::build(const ExtractOptions& opts) {
     // returns to zero before the controller idles again.
     StateId s_exit = m_.add_state("drain");
     for (TransitionId t : test.skipped) {
+      m_.set_to(t, s_exit);
       XbmTransition& tr = m_.transition(t);
-      tr.to = s_exit;
       for (const auto& e : exit_dones) tr.outputs.push_back(e);
       tr.note += " [loop exit]";
     }
@@ -317,7 +317,7 @@ ExtractedController ControllerBuilder::build(const ExtractOptions& opts) {
     cur_ = s_exit;
     last_.clear();
     emit_env_drain(*loop_root);
-    for (TransitionId t : last_) m_.transition(t).to = s_idle;
+    for (TransitionId t : last_) m_.set_to(t, s_idle);
   } else {
     // --- plain ring controller ------------------------------------------
     StateId s0 = m_.add_state("start");
@@ -334,7 +334,7 @@ ExtractedController ControllerBuilder::build(const ExtractOptions& opts) {
       throw std::invalid_argument("extract: controller with no transitions on " + m_.name());
     if (!pending_entry_outputs_.empty())
       throw std::logic_error("extract: first node of " + m_.name() + " has no request wire");
-    for (TransitionId t : last_) m_.transition(t).to = s0;
+    for (TransitionId t : last_) m_.set_to(t, s0);
   }
 
   if (!open_ifs_.empty()) throw std::logic_error("extract: unclosed IF block");

@@ -253,7 +253,7 @@ void ControllerBuilder::node_fragment(NodeId n) {
       for (TransitionId t : last_)
         for (const auto& e : dones) m_.transition(t).outputs.push_back(e);
       for (TransitionId t : open.skipped) {
-        m_.transition(t).to = cur_;
+        m_.set_to(t, cur_);
         for (const auto& e : dones) m_.transition(t).outputs.push_back(e);
         last_.push_back(t);
       }

@@ -38,7 +38,7 @@ void back_annotate_early_requests(Xbm& m,
         continue;
 
       // Reverse walk from the wait transition, marking the window.
-      std::deque<StateId> queue{m.transition(tid).from};
+      std::deque<StateId> queue{m.transition(tid).from()};
       std::set<StateId::underlying> visited;
       while (!queue.empty()) {
         StateId s = queue.front();
@@ -48,7 +48,7 @@ void back_annotate_early_requests(Xbm& m,
           XbmTransition& p = m.transition(pid);
           if (mentions(p, e.signal)) continue;  // previous consumption: stop
           p.inputs.push_back(ddc(toggle(e.signal)));
-          queue.push_back(p.from);
+          queue.push_back(p.from());
         }
       }
     }

@@ -239,7 +239,7 @@ ConcreteMachine concretize(const Xbm& m, const SignalBindings* bindings) {
         ct.output_changes.emplace_back(var, nv);
       }
 
-      ct.to = intern(t.to, nsig, nouts);
+      ct.to = intern(t.to(), nsig, nouts);
       out.transitions.push_back(std::move(ct));
     }
   }

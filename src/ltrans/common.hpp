@@ -54,7 +54,7 @@ inline void erase_edge(std::vector<XbmEdge>& burst, SignalId s) {
 // exactly one incoming and one outgoing transition and is not the initial
 // state.  Edges may only migrate across such states.
 inline std::optional<TransitionId> chain_pred(const Xbm& m, TransitionId t) {
-  StateId s = m.transition(t).from;
+  StateId s = m.transition(t).from();
   if (s == m.initial()) return std::nullopt;
   if (m.out_transitions(s).size() != 1) return std::nullopt;
   auto ins = m.in_transitions(s);
@@ -64,7 +64,7 @@ inline std::optional<TransitionId> chain_pred(const Xbm& m, TransitionId t) {
 }
 
 inline std::optional<TransitionId> chain_succ(const Xbm& m, TransitionId t) {
-  StateId s = m.transition(t).to;
+  StateId s = m.transition(t).to();
   if (s == m.initial()) return std::nullopt;
   if (m.in_transitions(s).size() != 1) return std::nullopt;
   auto outs = m.out_transitions(s);

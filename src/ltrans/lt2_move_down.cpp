@@ -40,7 +40,7 @@ StateId split_initial(Xbm& m) {
   StateId fresh = m.add_state(m.state(old).name + "_first");
   for (TransitionId tid : m.out_transitions(old)) {
     XbmTransition t = m.transition(tid);  // snapshot
-    TransitionId nid = m.add_transition(fresh, t.to, t.inputs, t.outputs, t.conds);
+    TransitionId nid = m.add_transition(fresh, t.to(), t.inputs, t.outputs, t.conds);
     m.transition(nid).origin = t.origin;
     m.transition(nid).note = t.note + " (first iteration)";
   }
@@ -67,7 +67,7 @@ int lt2_move_down(Xbm& m, const SignalBindings& b) {
       if (is_resting_place(b, m.transition(tid))) continue;
       // Ring closure: splitting the initial state turns its successor into
       // an ordinary ring-head transition that can accept the resets.
-      if (m.transition(tid).to == m.initial() && !split_done &&
+      if (m.transition(tid).to() == m.initial() && !split_done &&
           m.in_transitions(m.initial()).size() == 1 &&
           m.out_transitions(m.initial()).size() == 1) {
         split_initial(m);
@@ -82,7 +82,7 @@ int lt2_move_down(Xbm& m, const SignalBindings& b) {
       if (auto succ = chain_succ(m, tid)) {
         succs.push_back(*succ);
       } else {
-        StateId sto = m.transition(tid).to;
+        StateId sto = m.transition(tid).to();
         if (sto != m.initial() && m.in_transitions(sto).size() == 1) {
           auto outs = m.out_transitions(sto);
           if (outs.size() > 1) succs = outs;

@@ -48,7 +48,7 @@ int fold_trivial_transitions(Xbm& m, const SignalBindings* bindings) {
       for (const auto& e : t.inputs)
         if (!e.directed_dont_care) compulsory = true;
       if (compulsory || !t.conds.empty()) continue;
-      StateId s = t.from;
+      StateId s = t.from();
       if (s == m.initial()) continue;
       if (m.out_transitions(s).size() != 1) continue;
       auto preds = m.in_transitions(s);
@@ -79,7 +79,7 @@ int fold_trivial_transitions(Xbm& m, const SignalBindings* bindings) {
         XbmTransition& p = m.transition(pid);
         for (const auto& e : t.outputs) p.outputs.push_back(e);
         for (const auto& e : t.inputs) append_input(p.inputs, e);  // remaining ddc marks
-        p.to = t.to;
+        m.set_to(pid, t.to());
       }
       m.remove_transition(tid);
       m.remove_state(s);
@@ -91,8 +91,8 @@ int fold_trivial_transitions(Xbm& m, const SignalBindings* bindings) {
     for (TransitionId tid : m.transition_ids()) {
       XbmTransition& t = m.transition(tid);
       if (!t.outputs.empty()) continue;
-      StateId s = t.to;
-      if (s == m.initial() || s == t.from) continue;
+      StateId s = t.to();
+      if (s == m.initial() || s == t.from()) continue;
       if (m.in_transitions(s).size() != 1) continue;
       auto succs = m.out_transitions(s);
       if (succs.empty()) continue;
@@ -110,7 +110,7 @@ int fold_trivial_transitions(Xbm& m, const SignalBindings* bindings) {
         XbmTransition& u = m.transition(uid);
         for (const auto& e : t.inputs) append_input(u.inputs, e);
         for (const auto& c : t.conds) append_cond(u.conds, c);
-        u.from = t.from;
+        m.set_from(uid, t.from());
       }
       m.remove_transition(tid);
       m.remove_state(s);
@@ -141,7 +141,7 @@ int fold_trivial_transitions(Xbm& m, const SignalBindings* bindings) {
       if (conflict) continue;
       for (TransitionId uid : outs) {
         XbmTransition u = m.transition(uid);  // snapshot
-        TransitionId nid = m.add_transition(p.from, u.to, p.inputs, p.outputs, p.conds);
+        TransitionId nid = m.add_transition(p.from(), u.to(), p.inputs, p.outputs, p.conds);
         XbmTransition& fused = m.transition(nid);
         for (const auto& e : u.inputs) append_input(fused.inputs, e);
         for (const auto& e : u.outputs) fused.outputs.push_back(e);
@@ -180,7 +180,7 @@ int fold_trivial_transitions(Xbm& m, const SignalBindings* bindings) {
         }
         if (compulsory != 1 || !done_reset_only) continue;
         // Only act when a stuck triggerless transition precedes us.
-        auto preds = m.in_transitions(u.from);
+        auto preds = m.in_transitions(u.from());
         bool stuck_before = false;
         for (TransitionId pid : preds) {
           bool pc = false;
@@ -240,7 +240,7 @@ int fold_trivial_transitions(Xbm& m, const SignalBindings* bindings) {
         for (const auto& e : t.inputs)
           if (!e.directed_dont_care) compulsory = true;
         if (compulsory) continue;
-        auto preds = m.in_transitions(t.from);
+        auto preds = m.in_transitions(t.from());
         if (preds.empty()) continue;
         std::optional<SignalId> fudone;
         bool all_withdraw_go = true;
@@ -273,7 +273,7 @@ int fold_trivial_transitions(Xbm& m, const SignalBindings* bindings) {
                 ack = SignalId{sid};
           }
           if (!ack) continue;
-          auto succs2 = m.out_transitions(t.to);
+          auto succs2 = m.out_transitions(t.to());
           bool all_ok = !succs2.empty();
           for (TransitionId uid : succs2) {
             bool has_compulsory = false;
@@ -294,7 +294,7 @@ int fold_trivial_transitions(Xbm& m, const SignalBindings* bindings) {
         // successor keeps another compulsory trigger.
         bool can_take = true;
         std::vector<TransitionId> donors;
-        for (TransitionId uid : m.out_transitions(t.to)) {
+        for (TransitionId uid : m.out_transitions(t.to())) {
           XbmTransition& u = m.transition(uid);
           bool waits = false;
           int compulsory_count = 0;

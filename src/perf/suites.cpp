@@ -16,6 +16,7 @@
 #include "sim/token_sim.hpp"
 #include "transforms/global.hpp"
 #include "transforms/script.hpp"
+#include "xbm/validate.hpp"
 
 namespace adc {
 namespace perf {
@@ -105,7 +106,35 @@ void register_gt() {
   });
 }
 
+// The extracted, pre-LT controllers of one large generated program (three
+// ALUs, two multipliers, 80 loop statements, no pure moves) after the
+// paper's recipe: the input of lt.validate_random and lt.pipeline_random.
+std::shared_ptr<const std::vector<ExtractedController>> random_extracted() {
+  static std::shared_ptr<const std::vector<ExtractedController>> cached = [] {
+    RandomProgramParams p = sized(80);
+    p.moves = false;
+    Cdfg g = random_program(p, 42);
+    auto res = TransformScript::parse(kPaperRecipe).run(g);
+    return std::make_shared<const std::vector<ExtractedController>>(
+        extract_controllers(g, res.plan));
+  }();
+  return cached;
+}
+
 void register_lt() {
+  add("lt", "lt.validate_random", [](BenchContext& ctx) {
+    std::size_t errors = 0;
+    for (const auto& c : *random_extracted()) errors += validate(c.machine).size();
+    ctx.counters["errors"] = static_cast<double>(errors);
+  });
+  add("lt", "lt.pipeline_random", [](BenchContext& ctx) {
+    std::size_t states = 0;
+    for (ExtractedController c : *random_extracted()) {
+      run_local_transforms(c);
+      states += c.machine.state_count();
+    }
+    ctx.counters["states"] = static_cast<double>(states);
+  });
   add("lt", "lt.extract_plus_lt_diffeq", [](BenchContext& ctx) {
     auto a = diffeq_artifacts();
     auto controllers = extract_controllers(a->g, a->plan);

@@ -315,7 +315,7 @@ Fingerprint fingerprint(const ExtractedController& c) {
   r.add(m.transition_slots().size());
   for (const XbmTransition& t : m.transition_slots()) {
     r.add(U{t.id.value()} << 1 | U{t.alive});
-    r.add(U{t.from.value()} << 32 | t.to.value()).add(t.origin.value());
+    r.add(U{t.from().value()} << 32 | t.to().value()).add(t.origin.value());
     burst(t.inputs);
     burst(t.outputs);
     r.add(t.conds.size());
@@ -351,7 +351,11 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
     computed = true;
     ControllerSet out;
     out.plan = snap->have_plan ? snap->res.plan : ChannelPlan::derive(snap->g);
-    auto extracted = extract_controllers(snap->g, out.plan);
+    std::vector<ExtractedController> extracted;
+    {
+      obs::TraceSpan span(octx, "extract", "controller");
+      extracted = extract_controllers(snap->g, out.plan);
+    }
     out.controllers.resize(extracted.size());
     // What a controller's LT + logic result depends on besides the
     // controller itself.
@@ -376,6 +380,7 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
       m.states_extracted = c.machine.state_count();
       m.transitions_extracted = c.machine.transition_count();
       if (script.has_local_step()) {
+        obs::TraceSpan span(ctrace, "lt", "controller");
         LocalTransformResult lt = run_local_transforms(c, script.local_options());
         sc.instance.shared_signals = std::move(lt.shared_signals);
         sc.local = std::move(lt.stats);

@@ -28,31 +28,37 @@ std::string controller_key(const std::string& controller) {
 }  // namespace
 
 std::vector<CriticalChain> CriticalPathResult::top_chains(std::size_t k) const {
-  std::vector<CriticalChain> chains;
-  for (const auto& seg : segments) {
-    if (!chains.empty() && chains.back().phase == seg.phase &&
-        chains.back().controller == seg.controller &&
-        chains.back().label == seg.label) {
-      chains.back().end = seg.end;
-      chains.back().duration += seg.duration();
-      ++chains.back().events;
-    } else {
-      CriticalChain c;
-      c.phase = seg.phase;
-      c.controller = seg.controller;
-      c.label = seg.label;
-      c.start = seg.start;
-      c.end = seg.end;
-      c.duration = seg.duration();
-      c.events = 1;
-      chains.push_back(std::move(c));
+  // Runs as segment index ranges; names are copied for the k returned only.
+  struct Run {
+    std::size_t first, last;
+    std::int64_t duration;
+    std::size_t events;
+  };
+  std::vector<Run> runs;
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const CriticalSegment& seg = segments[i];
+    if (!runs.empty()) {
+      const CriticalSegment& head = segments[runs.back().first];
+      if (head.phase == seg.phase && head.controller == seg.controller &&
+          head.label == seg.label) {
+        runs.back().last = i;
+        runs.back().duration += seg.duration();
+        ++runs.back().events;
+        continue;
+      }
     }
+    runs.push_back({i, i, seg.duration(), 1});
   }
-  std::stable_sort(chains.begin(), chains.end(),
-                   [](const CriticalChain& a, const CriticalChain& b) {
-                     return a.duration > b.duration;
-                   });
-  if (chains.size() > k) chains.resize(k);
+  std::stable_sort(runs.begin(), runs.end(),
+                   [](const Run& a, const Run& b) { return a.duration > b.duration; });
+  if (runs.size() > k) runs.resize(k);
+  std::vector<CriticalChain> chains;
+  chains.reserve(runs.size());
+  for (const Run& r : runs) {
+    const CriticalSegment& head = segments[r.first];
+    chains.push_back({head.phase, head.controller, head.label, head.start,
+                      segments[r.last].end, r.duration, r.events});
+  }
   return chains;
 }
 

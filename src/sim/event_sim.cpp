@@ -468,7 +468,7 @@ class EventSim {
               c.local.count(e.signal.value()) ? c.local[e.signal.value()].count : 0;
         }
       }
-      c.state = t.to;
+      c.state = t.to();
       if (opts_.vcd)
         opts_.vcd->change_string(c.state_var, now, c.ec->machine.state(c.state).name);
       // Emit the output burst (alias fanout included).

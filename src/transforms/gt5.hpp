@@ -21,6 +21,9 @@
 //  * kAll: merge every same-source group (fewest wires, busier receivers),
 //  * kNone: keep one wire per arc.
 
+#include <cstdint>
+#include <optional>
+
 #include "cdfg/cdfg.hpp"
 #include "cdfg/delay.hpp"
 #include "channel/channel.hpp"
@@ -66,10 +69,16 @@ int form_multiway(const Cdfg& g, ChannelPlan& plan, NodeId source);
 bool try_symmetrize(Cdfg& g, ChannelPlan& plan, std::size_t big, std::size_t small,
                     TransformResult* stats = nullptr);
 
+// The period concurrency reduction bounds: the finish time of one
+// all-max-delay run of the timing harness.  A run that does not complete (a
+// deadlock, or a forward cycle a reroute closed) has no period.
+std::optional<std::int64_t> harness_period(const Cdfg& g, const DelayModel& delays);
+
 // GT5.2 for one constraint arc: reroute a -> c through hub b.  The new arc
-// b -> c must merge onto an existing channel.  Returns false if no legal
-// hub exists.
-bool try_concurrency_reduction(Cdfg& g, ChannelPlan& plan, ArcId direct,
+// b -> c must merge onto an existing channel, and the period after the
+// reroute may exceed `before` (harness_period of g as it stands) by at most
+// opts.max_period_increase.  Returns false if no legal hub exists.
+bool try_concurrency_reduction(Cdfg& g, ChannelPlan& plan, ArcId direct, std::int64_t before,
                                const Gt5Options& opts, TransformResult* stats = nullptr);
 
 }  // namespace adc

@@ -54,7 +54,7 @@ std::string to_text(const Xbm& m) {
   os << "\ninitial " << m.state(m.initial()).name << "\n";
   for (TransitionId t : m.transition_ids()) {
     const auto& tr = m.transition(t);
-    os << m.state(tr.from).name << ' ' << m.state(tr.to).name << ' '
+    os << m.state(tr.from()).name << ' ' << m.state(tr.to()).name << ' '
        << burst_to_string(m, tr);
     if (!tr.note.empty()) os << "  ; " << tr.note;
     os << "\n";

@@ -34,7 +34,9 @@ SignalId Xbm::add_signal(std::string name, SignalKind kind, SignalRole role,
 StateId Xbm::add_state(std::string name) {
   StateId id(states_.size());
   if (name.empty()) name = "s" + std::to_string(id.value());
-  states_.push_back(XbmState{id, std::move(name), true});
+  XbmState& st = states_.emplace_back();
+  st.id = id;
+  st.name = std::move(name);
   if (!initial_.valid()) initial_ = id;
   return id;
 }
@@ -42,15 +44,75 @@ StateId Xbm::add_state(std::string name) {
 TransitionId Xbm::add_transition(StateId from, StateId to, std::vector<XbmEdge> inputs,
                                  std::vector<XbmEdge> outputs, std::vector<CondTerm> conds) {
   TransitionId id(transitions_.size());
-  XbmTransition t;
+  check_state(from);
+  check_state(to);
+  XbmTransition& t = transitions_.emplace_back();
   t.id = id;
-  t.from = from;
-  t.to = to;
   t.inputs = std::move(inputs);
   t.outputs = std::move(outputs);
   t.conds = std::move(conds);
-  transitions_.push_back(std::move(t));
+  set_from(id, from);
+  set_to(id, to);
   return id;
+}
+
+void Xbm::set_from(TransitionId t, StateId s) {
+  XbmTransition& tr = transitions_.at(t.index());
+  check_state(s);
+  if (tr.from_ == s) return;
+  if (tr.from_.valid()) unlink(tr.from_, t, true);
+  tr.from_ = s;
+  link(s, t, true);
+}
+
+void Xbm::set_to(TransitionId t, StateId s) {
+  XbmTransition& tr = transitions_.at(t.index());
+  check_state(s);
+  if (tr.to_ == s) return;
+  if (tr.to_.valid()) unlink(tr.to_, t, false);
+  tr.to_ = s;
+  link(s, t, false);
+}
+
+void Xbm::check_state(StateId s) const {
+  if (s.index() >= states_.size())
+    throw std::out_of_range("xbm: no state " + std::to_string(s.value()));
+}
+
+TransitionId& Xbm::head(StateId s, bool out) {
+  XbmState& st = states_[s.index()];
+  return out ? st.first_out_ : st.first_in_;
+}
+
+TransitionId& Xbm::next(TransitionId t, bool out) {
+  XbmTransition& tr = transitions_[t.index()];
+  return out ? tr.next_out_ : tr.next_in_;
+}
+
+void Xbm::link(StateId s, TransitionId t, bool out) {
+  TransitionId* at = &head(s, out);
+  while (at->valid() && *at < t) at = &next(*at, out);
+  next(t, out) = *at;
+  *at = t;
+}
+
+void Xbm::unlink(StateId s, TransitionId t, bool out) {
+  TransitionId* at = &head(s, out);
+  while (*at != t) at = &next(*at, out);
+  *at = next(t, out);
+  next(t, out) = TransitionId();
+}
+
+std::vector<TransitionId> Xbm::incident(StateId s, bool out) const {
+  std::vector<TransitionId> ids;
+  if (s.index() >= states_.size()) return ids;
+  const XbmState& st = states_[s.index()];
+  for (TransitionId t = out ? st.first_out_ : st.first_in_; t.valid();) {
+    const XbmTransition& tr = transitions_[t.index()];
+    if (tr.alive) ids.push_back(t);
+    t = out ? tr.next_out_ : tr.next_in_;
+  }
+  return ids;
 }
 
 std::optional<SignalId> Xbm::find_signal(const std::string& name) const {
@@ -79,19 +141,8 @@ std::vector<TransitionId> Xbm::transition_ids() const {
   return out;
 }
 
-std::vector<TransitionId> Xbm::out_transitions(StateId s) const {
-  std::vector<TransitionId> out;
-  for (const auto& t : transitions_)
-    if (t.alive && t.from == s) out.push_back(t.id);
-  return out;
-}
-
-std::vector<TransitionId> Xbm::in_transitions(StateId s) const {
-  std::vector<TransitionId> out;
-  for (const auto& t : transitions_)
-    if (t.alive && t.to == s) out.push_back(t.id);
-  return out;
-}
+std::vector<TransitionId> Xbm::out_transitions(StateId s) const { return incident(s, true); }
+std::vector<TransitionId> Xbm::in_transitions(StateId s) const { return incident(s, false); }
 
 std::size_t Xbm::state_count() const { return state_ids().size(); }
 std::size_t Xbm::transition_count() const { return transition_ids().size(); }
@@ -111,12 +162,11 @@ std::size_t Xbm::output_count() const {
 }
 
 void Xbm::sweep_dead_states() {
-  for (auto& s : states_) {
-    if (!s.alive) continue;
-    bool used = s.id == initial_;
-    for (const auto& t : transitions_)
-      if (t.alive && (t.from == s.id || t.to == s.id)) used = true;
-    if (!used) s.alive = false;
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    XbmState& s = states_[i];
+    if (!s.alive || StateId(i) == initial_) continue;
+    if (incident(StateId(i), true).empty() && incident(StateId(i), false).empty())
+      s.alive = false;
   }
 }
 

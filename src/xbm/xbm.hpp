@@ -72,22 +72,59 @@ struct CondTerm {
   friend bool operator==(const CondTerm&, const CondTerm&) = default;
 };
 
+// State and transition slots are never assigned whole: that would
+// overwrite the incidence links below.  The links sit in what would be
+// padding (after a state's id and alive; after a transition's alive, with
+// origin moved beside id), so neither slot is larger than it would be
+// without them: cached controllers keep every slot, removed ones included.
 struct XbmState {
   StateId id;
+
+ private:
+  friend class Xbm;
+  TransitionId first_out_;  // head of the state's out-list (see Xbm)
+
+ public:
   std::string name;
   bool alive = true;
+
+  XbmState() = default;
+  XbmState(const XbmState&) = default;
+  XbmState(XbmState&&) = default;
+  XbmState& operator=(const XbmState&) = delete;
+  XbmState& operator=(XbmState&&) = delete;
+
+ private:
+  TransitionId first_in_;  // head of its in-list
 };
 
+// A transition's endpoints are read-only here: only its Xbm moves them
+// (add_transition, set_from, set_to), so the machine's incidence lists
+// cannot go stale.
 struct XbmTransition {
   TransitionId id;
-  StateId from;
-  StateId to;
+  NodeId origin;                  // CDFG node this belongs to (diagnostics)
   std::vector<XbmEdge> inputs;    // the input burst
   std::vector<CondTerm> conds;    // sampled conditionals
   std::vector<XbmEdge> outputs;   // the output burst
-  NodeId origin;                  // CDFG node this belongs to (diagnostics)
   std::string note;               // micro-operation label, e.g. "do operation"
   bool alive = true;
+
+  XbmTransition() = default;
+  XbmTransition(const XbmTransition&) = default;
+  XbmTransition(XbmTransition&&) = default;
+  XbmTransition& operator=(const XbmTransition&) = delete;
+  XbmTransition& operator=(XbmTransition&&) = delete;
+
+  StateId from() const { return from_; }
+  StateId to() const { return to_; }
+
+ private:
+  friend class Xbm;
+  StateId from_;
+  StateId to_;
+  // Next transition slot in from_'s out-list and to_'s in-list.
+  TransitionId next_out_, next_in_;
 };
 
 class Xbm {
@@ -102,6 +139,9 @@ class Xbm {
   TransitionId add_transition(StateId from, StateId to, std::vector<XbmEdge> inputs,
                               std::vector<XbmEdge> outputs,
                               std::vector<CondTerm> conds = {});
+  // The only ways to move an existing transition's endpoints.
+  void set_from(TransitionId t, StateId s);
+  void set_to(TransitionId t, StateId s);
 
   void set_initial(StateId s) { initial_ = s; }
   StateId initial() const { return initial_; }
@@ -124,6 +164,8 @@ class Xbm {
   std::vector<SignalId> signal_ids() const;
   std::vector<StateId> state_ids() const;          // live states
   std::vector<TransitionId> transition_ids() const;  // live transitions
+  // Live transitions leaving / entering `s`, in id order.  Read from the
+  // incidence lists, so O(degree) rather than a scan of every slot.
   std::vector<TransitionId> out_transitions(StateId s) const;
   std::vector<TransitionId> in_transitions(StateId s) const;
 
@@ -140,6 +182,17 @@ class Xbm {
   void sweep_dead_states();
 
  private:
+  // Incidence: every transition slot, removed ones included, is linked
+  // into its from-state's out-list and its to-state's in-list, each kept
+  // in id order.  Removal only clears `alive`, so the lists never depend
+  // on it; the queries above skip removed slots.
+  void check_state(StateId s) const;
+  TransitionId& head(StateId s, bool out);
+  TransitionId& next(TransitionId t, bool out);
+  void link(StateId s, TransitionId t, bool out);
+  void unlink(StateId s, TransitionId t, bool out);
+  std::vector<TransitionId> incident(StateId s, bool out) const;
+
   std::string name_;
   std::vector<XbmSignal> signals_;
   std::vector<XbmState> states_;

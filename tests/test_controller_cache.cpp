@@ -26,7 +26,7 @@ Xbm renamed(const Xbm& m, const std::string& name) {
   for (const XbmState& st : m.state_slots()) out.state(out.add_state(st.name)).alive = st.alive;
   for (const XbmTransition& t : m.transition_slots()) {
     XbmTransition& nt =
-        out.transition(out.add_transition(t.from, t.to, t.inputs, t.outputs, t.conds));
+        out.transition(out.add_transition(t.from(), t.to(), t.inputs, t.outputs, t.conds));
     nt.origin = t.origin;
     nt.note = t.note;
     nt.alive = t.alive;
@@ -97,12 +97,12 @@ TEST(ControllerKey, EveryFieldIsInTheKey) {
       {"transition from",
        [&](auto& c) {
          auto& t = transition_with(c, any_input);
-         t.from = StateId(t.from.value() + 1);
+         c.machine.set_from(t.id, StateId(t.from().value() + 1));
        }},
       {"transition to",
        [&](auto& c) {
          auto& t = transition_with(c, any_input);
-         t.to = StateId(t.to.value() + 1);
+         c.machine.set_to(t.id, StateId(t.to().value() + 1));
        }},
       {"input edge signal",
        [&](auto& c) {

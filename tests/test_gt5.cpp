@@ -160,7 +160,9 @@ TEST(Gt5, ConcurrencyReductionFigure8Mechanics) {
   Gt5Options opts;
   opts.max_period_increase = 1000;  // allow the serialization
   TransformResult stats;
-  bool ok = try_concurrency_reduction(g, plan, direct, opts, &stats);
+  const auto period = harness_period(g, opts.delays);
+  ASSERT_TRUE(period.has_value());
+  bool ok = try_concurrency_reduction(g, plan, direct, *period, opts, &stats);
   EXPECT_TRUE(ok);
   EXPECT_EQ(plan.count_controller_channels(), before - 1);
   EXPECT_FALSE(g.arc(direct).alive);
